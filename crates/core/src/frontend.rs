@@ -238,7 +238,15 @@ impl From<SloPolicy> for ClassPolicyMap {
     }
 }
 
-/// The order in which a shard's dispatcher starts queued requests.
+/// The order in which a shard's dispatcher starts the requests in its
+/// waiting room.
+///
+/// Every discipline draws from the same per-shard waiting room. FIFO
+/// decides at submission because its order is final — nothing
+/// submitted later can overtake — so a FIFO request is decided before
+/// the submission returns; the reordering disciplines decide as
+/// virtual time reaches each dispatch instant, among the requests
+/// present by then.
 ///
 /// FIFO is the conformant default: with one class it is exactly the
 /// pre-multi-tenant dispatcher. The reordering disciplines trade that
@@ -251,8 +259,9 @@ impl From<SloPolicy> for ClassPolicyMap {
 /// experiment).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchDiscipline {
-    /// Serve in submission order, classes interleaved — exactly the
-    /// pre-multi-tenant dispatcher.
+    /// Serve in submission order, classes interleaved, with at most
+    /// `FrontendRun::queue_depth` admitted-but-incomplete requests per
+    /// shard — exactly the pre-multi-tenant dispatcher.
     #[default]
     Fifo,
     /// Always serve the most urgent class ([`ReqClass::priority`]),

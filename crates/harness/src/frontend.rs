@@ -19,19 +19,19 @@
 //!
 //! — so queueing delay (`done_at - submitted_at - service_ns`) is
 //! separable from device/engine latency (`service_ns`). Each shard is a
-//! single server: under the default FIFO [`DispatchDiscipline`]
-//! admitted requests are serviced in admission order on the shard's
-//! private simulated stack, and at most `FrontendRun::queue_depth`
-//! requests may be admitted-but-incomplete at once (property-tested in
-//! `tests/proptest_frontend.rs`). A reordering discipline (strict
-//! priority with age promotion, weighted-fair queueing) instead admits
-//! into a waiting room and decides service order lazily, by
-//! [`ReqClass`], as virtual time reaches each dispatch instant;
+//! single server with one waiting room: every admitted request enters
+//! it, and the shard's [`DispatchDiscipline`] picks which one the engine
+//! starts next. FIFO decides at submission because its order is final,
+//! so a FIFO request is served — behind at most
+//! `FrontendRun::queue_depth` admitted-but-incomplete requests
+//! (property-tested in `tests/proptest_frontend.rs`) — before `submit`
+//! returns. Strict priority and weighted-fair queueing pick by
+//! [`ReqClass`] as virtual time reaches each dispatch instant;
 //! per-tenant token buckets throttle over-quota submissions before any
 //! of that (property-tested in `tests/proptest_tenant.rs`).
 //!
-//! Because service times are computed at submission from deterministic
-//! per-shard state, a fixed request stream produces byte-identical
+//! Because service times are computed from deterministic per-shard
+//! state in event order, a fixed request stream produces byte-identical
 //! completions run-to-run; [`run_frontend`] drives seeded arrival
 //! processes on top, so whole serving experiments — including the
 //! `fig_tail` fan-in sweep — inherit the repo's run-twice-diff CI
@@ -187,37 +187,59 @@ impl ReqCompletion {
     }
 }
 
-/// One request admitted into a reordering shard's waiting room, not
-/// yet decided by the dispatch discipline.
+/// One request in a shard's waiting room: admitted, not yet decided by
+/// the dispatch discipline. It entered the room at `submitted_at`; its
+/// [`ReqCompletion::issued_at`] is settled at dispatch, where FIFO
+/// charges the queue-full stall.
 struct WaitingReq {
     token: ReqToken,
-    kind: OpKind,
-    key_index: u64,
-    value: Vec<u8>,
-    class: ReqClass,
-    tenant: TenantId,
+    req: Request,
     submitted_at: Ns,
-    /// When the request entered the waiting room (= `submitted_at`:
-    /// the lazy dispatcher admits immediately; see
-    /// [`Frontend::submit`]).
-    issued_at: Ns,
-    /// WFQ virtual finish tag (0 under strict priority).
+    /// WFQ virtual finish tag (0 under FIFO and strict priority).
     finish_tag: u128,
+}
+
+impl WaitingReq {
+    /// The completion record of this request on `shard`, decided with
+    /// no device time spent (served requests fill in `service_ns`).
+    fn completion(
+        &self,
+        shard: usize,
+        issued_at: Ns,
+        done_at: Ns,
+        outcome: ReqOutcome,
+    ) -> ReqCompletion {
+        ReqCompletion {
+            token: self.token,
+            shard,
+            kind: self.req.kind,
+            key_index: self.req.key_index,
+            submitted_at: self.submitted_at,
+            issued_at,
+            done_at,
+            service_ns: 0,
+            outcome,
+            class: self.req.class,
+            tenant: self.req.tenant,
+            seq: 0,
+        }
+    }
 }
 
 /// One shard's state behind the dispatcher.
 struct ShardState {
     experiment: Experiment,
-    /// Completion times of admitted-but-incomplete requests (the
-    /// bounded dispatcher queue, exactly the `IoQueue` slot discipline).
-    /// Shed requests occupy a slot from admission until the instant
-    /// they are dropped.
+    /// Completion times of decided requests, pruned to those still
+    /// incomplete at every submission (the bounded dispatcher queue,
+    /// exactly the `IoQueue` slot discipline). Under FIFO, shed
+    /// requests occupy a slot from admission until the instant they
+    /// are dropped.
     slots: Vec<Ns>,
     /// The single-server serialization point: when the engine frees up.
     busy_until: Ns,
-    /// Requests admitted but not yet decided, under a reordering
-    /// [`DispatchDiscipline`] only (always empty under FIFO, whose
-    /// outcomes are decided eagerly at submission).
+    /// The waiting room: requests admitted but not yet decided, in
+    /// submission order. Empty between FIFO submissions, since FIFO
+    /// decides each request as soon as it is admitted.
     waiting: Vec<WaitingReq>,
     load: ShardLoad,
     queue_delay: LatencyHistogram,
@@ -251,6 +273,14 @@ impl ShardState {
     /// still bounded by the full deadline).
     fn predicted_service(&self) -> Ns {
         self.service_ewma.unwrap_or(0)
+    }
+
+    /// The next dispatch instant — the engine is free and at least one
+    /// waiting request has arrived — or `None` with an empty waiting
+    /// room. The room is in submission order, so its first request is
+    /// the earliest arrival.
+    fn next_dispatch(&self) -> Option<Ns> {
+        Some(self.busy_until.max(self.waiting.first()?.submitted_at))
     }
 
     /// Folds a served request's service time into the EWMA. The caller
@@ -419,9 +449,10 @@ impl Frontend {
     }
 
     /// Requests admitted to `shard` and not yet complete at the current
-    /// front-end time (bounded by the configured queue depth under FIFO
-    /// dispatch; reordering disciplines add their undecided waiting
-    /// room).
+    /// front-end time: decided requests still in service or queued,
+    /// plus the waiting room (bounded by the configured queue depth
+    /// under FIFO dispatch, whose waiting room is empty between
+    /// submissions).
     pub fn in_flight(&self, shard: usize) -> usize {
         self.shards[shard]
             .slots
@@ -449,10 +480,15 @@ impl Frontend {
 
     /// Submits a request without advancing the front-end clock; returns
     /// its token. The request is routed to its key's shard, held
-    /// against the configured [`SloPolicy`], admitted to that shard's
+    /// against the configured [`SloPolicy`] and admitted to that
+    /// shard's waiting room; the [`DispatchDiscipline`] then decides
+    /// when the shard's engine serves it. FIFO decides at submission
+    /// because its order is final: the request is admitted to the
     /// bounded queue (stalling in virtual time while the queue is
-    /// full), serviced in admission order by the shard's engine, and
-    /// its completion record becomes collectable.
+    /// full), serviced in admission order, and its completion record is
+    /// collectable when `submit` returns. A reordering discipline
+    /// decides when virtual time reaches the dispatch instant
+    /// ([`Frontend::settle_to`] or any blocking collector).
     ///
     /// Requests to a dead (out-of-space) shard are dropped: they
     /// complete with [`ReqOutcome::ShardOutOfSpace`] after a fixed
@@ -468,35 +504,46 @@ impl Frontend {
     /// already past its budget when the engine would start it, dropped
     /// at that instant). Neither consumes any device or engine time.
     /// Hard engine failures return `Err`.
+    ///
+    /// Two deliberate deviations under a reordering discipline:
+    ///
+    /// * the waiting room is unbounded — `queue_depth` does not stall
+    ///   the submission, because a stalled submission would need to
+    ///   know *which* queued request frees a slot first, and that is
+    ///   exactly what the discipline only decides later. `QueueBound`
+    ///   admission control still applies, over queue slots *plus*
+    ///   waiting room;
+    /// * [`SloPolicy::PredictedSojourn`] degrades from an exact
+    ///   guarantee to a backlog heuristic: it assumes the new request
+    ///   starts after the whole current backlog, which reorderings can
+    ///   only improve for favored classes (and worsen for disfavored
+    ///   ones).
     pub fn submit(&mut self, req: Request) -> Result<ReqToken, PtsError> {
         let shard_idx = self.route(req.key_index);
         let token = ReqToken(self.next_token);
         self.next_token += 1;
         let now = self.now;
-        let policy = self.cfg.slo.get(req.class);
+        let (class, tenant) = (req.class, req.tenant);
+        let mut w = WaitingReq {
+            token,
+            req,
+            submitted_at: now,
+            finish_tag: 0,
+        };
+        let fifo = self.cfg.discipline.is_fifo();
+        let policy = self.cfg.slo.get(class);
         let track_tenants = !self.cfg.tenants.is_empty();
         let shard = &mut self.shards[shard_idx];
+        // A slot whose completion is at or before `now` is free for
+        // good (`now` never decreases), so pruning it here keeps every
+        // scan of `slots` as short as the shard's real backlog.
+        shard.slots.retain(|&done| done > now);
         shard.load.requests += 1;
         shard.slo.offered += 1;
-        shard.mt.class_mut(req.class).slo.offered += 1;
+        shard.mt.class_mut(class).slo.offered += 1;
         if track_tenants {
-            shard.mt.tenant_mut(req.tenant).offered += 1;
+            shard.mt.tenant_mut(tenant).offered += 1;
         }
-
-        let mut completion = ReqCompletion {
-            token,
-            shard: shard_idx,
-            kind: req.kind,
-            key_index: req.key_index,
-            submitted_at: now,
-            issued_at: now,
-            done_at: now + DROP_LATENCY,
-            service_ns: 0,
-            outcome: ReqOutcome::ShardOutOfSpace,
-            class: req.class,
-            tenant: req.tenant,
-            seq: 0,
-        };
 
         // Tenant quota: the token bucket sits in front of *everything*
         // — admission control, the shard queue, even the dead-shard
@@ -507,178 +554,95 @@ impl Frontend {
         // overdrafts, so over any window `W` the tenant passes at most
         // `rate·W + burst` requests (property-tested in
         // `tests/proptest_tenant.rs`).
-        if let Some(Some(bucket)) = self.buckets.get_mut(req.tenant as usize) {
+        if let Some(Some(bucket)) = self.buckets.get_mut(tenant as usize) {
             if !bucket.try_charge(now, 1) {
                 shard.slo.throttled += 1;
-                shard.mt.class_mut(req.class).slo.throttled += 1;
-                shard.mt.tenant_mut(req.tenant).throttled += 1;
-                completion.done_at = now + REJECT_LATENCY;
-                completion.outcome = ReqOutcome::Throttled;
-                self.resolve(completion);
+                shard.mt.class_mut(class).slo.throttled += 1;
+                shard.mt.tenant_mut(tenant).throttled += 1;
+                self.resolve(w.completion(
+                    shard_idx,
+                    now,
+                    now + REJECT_LATENCY,
+                    ReqOutcome::Throttled,
+                ));
                 return Ok(token);
             }
         }
         if track_tenants {
-            shard.mt.tenant_mut(req.tenant).admitted += 1;
+            shard.mt.tenant_mut(tenant).admitted += 1;
         }
 
         if shard.dead {
             shard.load.dropped += 1;
-            self.resolve(completion);
+            self.resolve(w.completion(
+                shard_idx,
+                now,
+                now + DROP_LATENCY,
+                ReqOutcome::ShardOutOfSpace,
+            ));
             return Ok(token);
         }
-        if !self.cfg.discipline.is_fifo() {
-            return self.submit_lazy(shard_idx, req, completion, policy);
-        }
-        let shard = &mut self.shards[shard_idx];
-        shard.slots.retain(|&done| done > now);
-
-        // Admission into the bounded shard queue: slots whose
-        // completion has passed are free; a full queue stalls the
-        // submission (in virtual time) until the earliest outstanding
-        // completion frees one — the IoQueue discipline, one level up.
-        // Reclamation is planned on a scratch copy: a submission that
-        // is rejected below, or fails hard, must leave the live
-        // accounting untouched, or a later valid submission would
-        // overlap requests the depth should have serialized (the same
-        // guard `IoQueue::submit` carries).
-        let mut slots = shard.slots.clone();
-        let issue = admission_time(&mut slots, self.cfg.queue_depth, now);
 
         // Admission control: turn the request away *before* it enters
         // the queue — a rejected request must never consume queue
-        // residence or device time. `PredictedSojourn` judges the very
-        // `issue` time the request would get below, and admission is
-        // deterministic, so its deadline is a guarantee on admitted
-        // queue delay, not a heuristic.
+        // residence or device time.
+        let backlog = shard.waiting.len() + shard.slots.len();
         let rejected = match policy {
-            SloPolicy::QueueBound { max_pending } => shard.slots.len() >= max_pending,
+            SloPolicy::QueueBound { max_pending } => backlog >= max_pending,
             SloPolicy::PredictedSojourn { deadline_ns } => {
-                let predicted_start = issue.max(shard.busy_until);
-                predicted_start - now + shard.predicted_service() > deadline_ns
+                let est = shard.predicted_service();
+                let wait = if fifo {
+                    // The very start time dispatch will compute (the
+                    // waiting room is empty, so nothing else is decided
+                    // first): under FIFO the deadline is a guarantee on
+                    // admitted queue delay, not a heuristic.
+                    let issue = admission_time(&mut shard.slots.clone(), self.cfg.queue_depth, now);
+                    issue.max(shard.busy_until) - now
+                } else {
+                    let queue_ahead = est.saturating_mul(backlog as u64);
+                    shard
+                        .busy_until
+                        .saturating_sub(now)
+                        .saturating_add(queue_ahead)
+                };
+                wait.saturating_add(est) > deadline_ns
             }
             SloPolicy::None | SloPolicy::Deadline { .. } => false,
         };
         if rejected {
             shard.slo.rejected += 1;
-            shard.mt.class_mut(req.class).slo.rejected += 1;
+            shard.mt.class_mut(class).slo.rejected += 1;
             // Unclamped-estimator recovery (maintenance mode only; see
-            // the clamp at the `Served::Done` arm): each rejection
-            // decays the service EWMA one step so the estimator can
-            // re-probe once pressure subsides instead of wedging.
+            // the clamp in `pump`): each rejection decays the service
+            // EWMA one step so the estimator can re-probe once pressure
+            // subsides instead of wedging.
             if self.cfg.base.maint.enabled {
                 if let SloPolicy::PredictedSojourn { .. } = policy {
                     shard.decay_service_estimate();
                 }
             }
-            completion.done_at = now + REJECT_LATENCY;
-            completion.outcome = ReqOutcome::Rejected;
-            self.resolve(completion);
+            self.resolve(w.completion(shard_idx, now, now + REJECT_LATENCY, ReqOutcome::Rejected));
             return Ok(token);
         }
         shard.slo.admitted += 1;
-        shard.mt.class_mut(req.class).slo.admitted += 1;
-        completion.issued_at = issue;
-        completion.done_at = issue + DROP_LATENCY;
-
-        // Service: the engine is a single server, so the request starts
-        // when both it is admitted and the engine is free.
-        let start_lb = issue.max(shard.busy_until);
-        if let SloPolicy::Deadline { budget_ns } = policy {
-            // Shed at dispatch: the request aged past its budget while
-            // queueing, so starting it now would only waste device time
-            // on an answer nobody is waiting for. It held a queue slot
-            // from admission until this instant.
-            if start_lb - now > budget_ns {
-                slots.push(start_lb);
-                shard.slots = slots;
-                shard.slo.shed += 1;
-                shard.mt.class_mut(req.class).slo.shed += 1;
-                completion.done_at = start_lb;
-                completion.outcome = ReqOutcome::Shed;
-                self.resolve(completion);
-                return Ok(token);
-            }
+        shard.mt.class_mut(class).slo.admitted += 1;
+        if let DispatchDiscipline::WeightedFair { weights } = self.cfg.discipline {
+            // Self-clocked fair queueing: the virtual start is the
+            // later of the dispatcher's virtual time and this class's
+            // own last finish tag (a backlogged class queues behind its
+            // previous work; an idle class starts at the frontier). The
+            // virtual finish adds the estimated service scaled down by
+            // the class weight — heavier classes accrue virtual time
+            // slower, so they win more dispatch decisions.
+            let est = u128::from(shard.predicted_service().max(1));
+            let start = shard.vtime.max(shard.last_finish[class.index()]);
+            w.finish_tag = start + est * WFQ_SCALE / u128::from(weights[class.index()]);
+            shard.last_finish[class.index()] = w.finish_tag;
         }
-        encode_key(req.key_index, self.key_size, &mut self.key_buf);
-        // Request-level spans (traced runs only): a `req.get`/`req.put`
-        // root opening at submission, with the dispatch/queue wait as a
-        // `req.queue` child, so the engine's `op.*` span — and every
-        // phase and device span below it — nests under the request that
-        // caused it. Timestamps are front-end (phase-relative) times
-        // shifted onto the absolute span timeline.
-        let trace = shard.experiment.trace_handle().clone();
-        let t0 = shard.experiment.phase_start();
-        let req_span = if trace.is_on() {
-            let cause = match req.kind {
-                OpKind::Update => Cause::Put,
-                OpKind::Read => Cause::Get,
-            };
-            let name = match req.kind {
-                OpKind::Update => "req.put",
-                OpKind::Read => "req.get",
-            };
-            let id = trace.tracer().begin(name, cause, t0 + now);
-            trace
-                .tracer()
-                .leaf("req.queue", cause, t0 + now, t0 + start_lb);
-            Some(id)
-        } else {
-            None
-        };
-        let served = shard
-            .experiment
-            .serve(start_lb, req.kind, &self.key_buf, &req.value);
-        if let Some(id) = req_span {
-            // The experiment clock sits at the service completion time,
-            // which is exactly where the request span closes.
-            trace.end(id);
+        shard.waiting.push(w);
+        if fifo {
+            self.pump(shard_idx, Ns::MAX)?;
         }
-        match served? {
-            Served::Done { start, done } => {
-                shard.busy_until = done;
-                slots.push(done);
-                shard.slots = slots;
-                shard.load.served += 1;
-                shard.load.busy_ns += done - start;
-                shard.queue_delay.record(start - now);
-                completion.done_at = done;
-                completion.service_ns = done - start;
-                completion.outcome = ReqOutcome::Served;
-                shard.slo.served += 1;
-                let lane = shard.mt.class_mut(req.class);
-                lane.slo.served += 1;
-                lane.queue_delay.record(start - now);
-                lane.starve_max_ns = lane.starve_max_ns.max(start - now);
-                // Inline maintenance clamps the estimator's observation
-                // to the deadline: an op that absorbs an inline
-                // compaction/GC stall can run 30x the typical service
-                // time, and folding that in raw can push the EWMA past
-                // the deadline — at which point even an idle shard
-                // rejects everything, nothing is served, and the
-                // estimate can never recover. Beyond the deadline the
-                // exact magnitude cannot change any admission decision
-                // anyway. With background maintenance enabled the clamp
-                // comes off: budgeted slices bound routine stalls, raw
-                // observations let admission control see genuine
-                // backpressure overload, and the decay-on-reject step
-                // (see the rejection branch above) guarantees the
-                // estimator re-probes instead of wedging
-                // (regression-tested by
-                // `maintenance_mode_estimator_runs_unclamped_without_wedging`).
-                let estimator_cap = if self.cfg.base.maint.enabled {
-                    Ns::MAX
-                } else {
-                    policy.deadline_ns().unwrap_or(Ns::MAX)
-                };
-                shard.observe_service(completion.service_ns.min(estimator_cap));
-            }
-            Served::OutOfSpace => {
-                shard.dead = true;
-                shard.load.dropped += 1;
-            }
-        }
-        self.resolve(completion);
         Ok(token)
     }
 
@@ -692,240 +656,176 @@ impl Frontend {
         self.pending.insert(completion.token.0, completion);
     }
 
-    /// Admission under a reordering [`DispatchDiscipline`]: the request
-    /// enters the shard's waiting room *immediately* and [`pump`]
-    /// decides its fate when virtual time reaches the dispatch
-    /// decision.
-    ///
-    /// Two deliberate deviations from the eager FIFO model:
-    ///
-    /// * the waiting room is unbounded — `queue_depth` does not stall
-    ///   the submission, because a stalled submission would need to
-    ///   know *which* queued request frees a slot first, and that is
-    ///   exactly what the discipline only decides later. `QueueBound`
-    ///   admission control still applies, over queue slots *plus*
-    ///   waiting room;
-    /// * [`SloPolicy::PredictedSojourn`] degrades from an exact
-    ///   guarantee to a backlog heuristic: it assumes the new request
-    ///   starts after the whole current backlog, which reorderings can
-    ///   only improve for favored classes (and worsen for disfavored
-    ///   ones).
-    ///
-    /// [`pump`]: Frontend::settle_to
-    fn submit_lazy(
-        &mut self,
-        shard_idx: usize,
-        req: Request,
-        mut completion: ReqCompletion,
-        policy: SloPolicy,
-    ) -> Result<ReqToken, PtsError> {
-        let now = self.now;
-        let token = completion.token;
-        let shard = &mut self.shards[shard_idx];
-        let backlog = shard.waiting.len() + shard.slots.iter().filter(|&&done| done > now).count();
-        let rejected = match policy {
-            SloPolicy::QueueBound { max_pending } => backlog >= max_pending,
-            SloPolicy::PredictedSojourn { deadline_ns } => {
-                let est = shard.predicted_service();
-                let queue_ahead = est.saturating_mul(backlog as u64);
-                let idle_gap = shard.busy_until.saturating_sub(now);
-                idle_gap.saturating_add(queue_ahead).saturating_add(est) > deadline_ns
-            }
-            SloPolicy::None | SloPolicy::Deadline { .. } => false,
-        };
-        if rejected {
-            shard.slo.rejected += 1;
-            shard.mt.class_mut(req.class).slo.rejected += 1;
-            if self.cfg.base.maint.enabled {
-                if let SloPolicy::PredictedSojourn { .. } = policy {
-                    shard.decay_service_estimate();
-                }
-            }
-            completion.done_at = now + REJECT_LATENCY;
-            completion.outcome = ReqOutcome::Rejected;
-            self.resolve(completion);
-            return Ok(token);
-        }
-        shard.slo.admitted += 1;
-        shard.mt.class_mut(req.class).slo.admitted += 1;
-        let finish_tag = if let DispatchDiscipline::WeightedFair { weights } = self.cfg.discipline {
-            // Self-clocked fair queueing: the virtual start is the
-            // later of the dispatcher's virtual time and this class's
-            // own last finish tag (a backlogged class queues behind its
-            // previous work; an idle class starts at the frontier). The
-            // virtual finish adds the estimated service scaled down by
-            // the class weight — heavier classes accrue virtual time
-            // slower, so they win more dispatch decisions.
-            let est = u128::from(shard.predicted_service().max(1));
-            let start = shard.vtime.max(shard.last_finish[req.class.index()]);
-            let tag = start + est * WFQ_SCALE / u128::from(weights[req.class.index()]);
-            shard.last_finish[req.class.index()] = tag;
-            tag
-        } else {
-            0
-        };
-        shard.waiting.push(WaitingReq {
-            token,
-            kind: req.kind,
-            key_index: req.key_index,
-            value: req.value,
-            class: req.class,
-            tenant: req.tenant,
-            submitted_at: now,
-            issued_at: now,
-            finish_tag,
-        });
-        Ok(token)
-    }
-
-    /// Decides waiting requests on one shard whose service start falls
-    /// at or before `horizon`: repeatedly finds the next dispatch
+    /// Decides waiting requests on one shard whose dispatch instant
+    /// falls at or before `horizon`: repeatedly finds the next dispatch
     /// instant (engine free and at least one request present), lets the
     /// discipline pick among the requests present at that instant, and
-    /// serves or sheds the pick. A no-op for empty waiting rooms, hence
-    /// for FIFO dispatch entirely.
+    /// serves or sheds the pick. The only place requests are served.
     fn pump(&mut self, shard_idx: usize, horizon: Ns) -> Result<(), PtsError> {
+        let fifo = self.cfg.discipline.is_fifo();
         loop {
             let shard = &mut self.shards[shard_idx];
-            if shard.waiting.is_empty() {
-                return Ok(());
-            }
-            let earliest = shard
-                .waiting
-                .iter()
-                .map(|w| w.issued_at)
-                .min()
-                .expect("non-empty waiting room");
-            // The next dispatch decision: the engine is free and at
-            // least one request has arrived. Nondecreasing across
-            // iterations (serving raises `busy_until` past it; shedding
-            // keeps it and removes a request), so per-shard service
+            // Nondecreasing across iterations (serving raises
+            // `busy_until`; shedding removes a request), so service
             // order is decided in time order.
-            let t0 = shard.busy_until.max(earliest);
-            if t0 > horizon {
+            let Some(t0) = shard.next_dispatch().filter(|&t0| t0 <= horizon) else {
                 return Ok(());
-            }
+            };
             if shard.dead {
                 // The shard died with requests still waiting: they all
                 // drop, in submission order, with the same turnaround a
                 // direct submission to a dead shard gets.
-                let mut rest = std::mem::take(&mut shard.waiting);
-                rest.sort_by_key(|w| w.token);
-                for w in rest {
-                    let shard = &mut self.shards[shard_idx];
-                    shard.load.dropped += 1;
-                    self.resolve(ReqCompletion {
-                        token: w.token,
-                        shard: shard_idx,
-                        kind: w.kind,
-                        key_index: w.key_index,
-                        submitted_at: w.submitted_at,
-                        issued_at: w.issued_at,
-                        done_at: t0 + DROP_LATENCY,
-                        service_ns: 0,
-                        outcome: ReqOutcome::ShardOutOfSpace,
-                        class: w.class,
-                        tenant: w.tenant,
-                        seq: 0,
-                    });
+                for w in std::mem::take(&mut shard.waiting) {
+                    self.shards[shard_idx].load.dropped += 1;
+                    self.resolve(w.completion(
+                        shard_idx,
+                        w.submitted_at,
+                        t0 + DROP_LATENCY,
+                        ReqOutcome::ShardOutOfSpace,
+                    ));
                 }
                 return Ok(());
             }
-            let pos = select_next(shard, t0, self.cfg.discipline);
-            let w = shard.waiting.remove(pos);
+            let w = shard
+                .waiting
+                .remove(select_next(shard, t0, self.cfg.discipline));
             if let DispatchDiscipline::WeightedFair { .. } = self.cfg.discipline {
                 // Self-clocking: virtual time jumps to the dispatched
                 // tag, so classes going idle don't bank credit.
                 shard.vtime = shard.vtime.max(w.finish_tag);
             }
-            let policy = self.cfg.slo.get(w.class);
-            let mut completion = ReqCompletion {
-                token: w.token,
-                shard: shard_idx,
-                kind: w.kind,
-                key_index: w.key_index,
-                submitted_at: w.submitted_at,
-                issued_at: w.issued_at,
-                done_at: t0 + DROP_LATENCY,
-                service_ns: 0,
-                outcome: ReqOutcome::ShardOutOfSpace,
-                class: w.class,
-                tenant: w.tenant,
-                seq: 0,
+            let policy = self.cfg.slo.get(w.req.class);
+
+            // FIFO admits into the bounded queue once a slot frees up
+            // among the requests decided before it (the IoQueue
+            // discipline, one level up). Reclamation is planned on a
+            // scratch copy, committed only once the request is served or
+            // shed: a hard failure or out-of-space hit must leave the
+            // live slots untouched (the guard `IoQueue::submit` carries).
+            // A reordering discipline's waiting room never stalls.
+            let mut scratch = None;
+            let issue = if fifo {
+                let slots = scratch.insert(shard.slots.clone());
+                admission_time(slots, self.cfg.queue_depth, w.submitted_at)
+            } else {
+                w.submitted_at
             };
+            let start_lb = issue.max(shard.busy_until);
             if let SloPolicy::Deadline { budget_ns } = policy {
-                if t0 - w.submitted_at > budget_ns {
+                // Shed at dispatch: the request aged past its budget
+                // while queueing, so starting it now would only waste
+                // device time on an answer nobody is waiting for. Under
+                // FIFO it held a queue slot until this instant.
+                if start_lb - w.submitted_at > budget_ns {
+                    if let Some(mut slots) = scratch {
+                        slots.push(start_lb);
+                        shard.slots = slots;
+                    }
                     shard.slo.shed += 1;
-                    shard.mt.class_mut(w.class).slo.shed += 1;
-                    completion.done_at = t0;
-                    completion.outcome = ReqOutcome::Shed;
-                    self.resolve(completion);
+                    shard.mt.class_mut(w.req.class).slo.shed += 1;
+                    self.resolve(w.completion(shard_idx, issue, start_lb, ReqOutcome::Shed));
                     continue;
                 }
             }
-            encode_key(w.key_index, self.key_size, &mut self.key_buf);
+            encode_key(w.req.key_index, self.key_size, &mut self.key_buf);
+            // Request-level spans (traced runs only): a `req.get`/`req.put`
+            // root opening at submission, with the dispatch/queue wait as a
+            // `req.queue` child, so the engine's `op.*` span — and every
+            // phase and device span below it — nests under the request that
+            // caused it. Timestamps are front-end (phase-relative) times
+            // shifted onto the absolute span timeline.
             let trace = shard.experiment.trace_handle().clone();
             let phase0 = shard.experiment.phase_start();
             let req_span = if trace.is_on() {
-                let cause = match w.kind {
-                    OpKind::Update => Cause::Put,
-                    OpKind::Read => Cause::Get,
-                };
-                let name = match w.kind {
-                    OpKind::Update => "req.put",
-                    OpKind::Read => "req.get",
+                let (name, cause) = match w.req.kind {
+                    OpKind::Update => ("req.put", Cause::Put),
+                    OpKind::Read => ("req.get", Cause::Get),
                 };
                 let id = trace.tracer().begin(name, cause, phase0 + w.submitted_at);
-                trace
-                    .tracer()
-                    .leaf("req.queue", cause, phase0 + w.submitted_at, phase0 + t0);
+                trace.tracer().leaf(
+                    "req.queue",
+                    cause,
+                    phase0 + w.submitted_at,
+                    phase0 + start_lb,
+                );
                 Some(id)
             } else {
                 None
             };
-            let served = shard.experiment.serve(t0, w.kind, &self.key_buf, &w.value);
+            let served = shard
+                .experiment
+                .serve(start_lb, w.req.kind, &self.key_buf, &w.req.value);
             if let Some(id) = req_span {
+                // The experiment clock sits at the service completion
+                // time, which is exactly where the request span closes.
                 trace.end(id);
             }
             match served? {
                 Served::Done { start, done } => {
                     shard.busy_until = done;
+                    if let Some(slots) = scratch {
+                        shard.slots = slots;
+                    }
                     shard.slots.push(done);
                     shard.load.served += 1;
                     shard.load.busy_ns += done - start;
                     let wait = start - w.submitted_at;
                     shard.queue_delay.record(wait);
                     shard.slo.served += 1;
-                    let lane = shard.mt.class_mut(w.class);
+                    let lane = shard.mt.class_mut(w.req.class);
                     lane.slo.served += 1;
                     lane.queue_delay.record(wait);
                     lane.starve_max_ns = lane.starve_max_ns.max(wait);
-                    completion.done_at = done;
-                    completion.service_ns = done - start;
-                    completion.outcome = ReqOutcome::Served;
+                    // Inline maintenance clamps the estimator's observation
+                    // to the deadline: an op that absorbs an inline
+                    // compaction/GC stall can run 30x the typical service
+                    // time, and folding that in raw can push the EWMA past
+                    // the deadline — at which point even an idle shard
+                    // rejects everything, nothing is served, and the
+                    // estimate can never recover. Beyond the deadline the
+                    // exact magnitude cannot change any admission decision
+                    // anyway. With background maintenance enabled the clamp
+                    // comes off: budgeted slices bound routine stalls, raw
+                    // observations let admission control see genuine
+                    // backpressure overload, and the decay-on-reject step
+                    // in `submit` guarantees the estimator re-probes
+                    // instead of wedging (regression-tested by
+                    // `maintenance_mode_estimator_runs_unclamped_without_wedging`).
                     let estimator_cap = if self.cfg.base.maint.enabled {
                         Ns::MAX
                     } else {
                         policy.deadline_ns().unwrap_or(Ns::MAX)
                     };
-                    shard.observe_service(completion.service_ns.min(estimator_cap));
-                    self.resolve(completion);
+                    shard.observe_service((done - start).min(estimator_cap));
+                    self.resolve(ReqCompletion {
+                        service_ns: done - start,
+                        ..w.completion(shard_idx, issue, done, ReqOutcome::Served)
+                    });
                 }
                 Served::OutOfSpace => {
                     shard.dead = true;
                     shard.load.dropped += 1;
-                    self.resolve(completion);
-                    // The next iteration drains the rest as drops.
+                    // FIFO turns the drop around from the admission
+                    // instant; a reordering discipline from its dispatch
+                    // instant. The next iteration drains the rest.
+                    let dropped_from = if fifo { issue } else { t0 };
+                    self.resolve(w.completion(
+                        shard_idx,
+                        issue,
+                        dropped_from + DROP_LATENCY,
+                        ReqOutcome::ShardOutOfSpace,
+                    ));
                 }
             }
         }
     }
 
     /// Decides every waiting dispatch whose service start falls at or
-    /// before `horizon` (a no-op under FIFO dispatch, which decides at
-    /// submission). Drivers call this as virtual time advances, so
-    /// discipline decisions are made in event order — each one sees
-    /// exactly the requests that had arrived by its instant.
+    /// before `horizon` (a no-op under FIFO dispatch, whose waiting
+    /// room is empty between submissions). Drivers call this as virtual
+    /// time advances, so discipline decisions are made in event order —
+    /// each one sees exactly the requests that had arrived by its
+    /// instant.
     pub fn settle_to(&mut self, horizon: Ns) -> Result<(), PtsError> {
         for shard_idx in 0..self.shards.len() {
             self.pump(shard_idx, horizon)?;
@@ -950,10 +850,7 @@ impl Frontend {
             .shards
             .iter()
             .enumerate()
-            .filter_map(|(idx, s)| {
-                let earliest = s.waiting.iter().map(|w| w.issued_at).min()?;
-                Some((idx, s.busy_until.max(earliest)))
-            })
+            .filter_map(|(idx, s)| Some((idx, s.next_dispatch()?)))
             .min_by_key(|&(idx, t0)| (t0, idx));
         let Some((shard_idx, t0)) = next else {
             return Ok(false);
@@ -962,9 +859,11 @@ impl Frontend {
         Ok(true)
     }
 
-    /// Collects a completion record without touching the front-end
-    /// clock (the completion was computed at submission). `None` if the
-    /// token is unknown or already collected.
+    /// Collects a decided completion record without touching the
+    /// front-end clock. `None` if the token is unknown or already
+    /// collected, or if the request still waits undecided in a
+    /// reordering discipline's waiting room (a FIFO request is decided
+    /// before `submit` returns, because FIFO's order is final).
     ///
     /// This is how a driver implements a closed loop without running
     /// time ahead of other clients' arrivals: take the completion,
@@ -1076,34 +975,32 @@ impl Frontend {
 const WFQ_SCALE: u128 = 1 << 10;
 
 /// The waiting-room index the discipline serves next at instant `t0`,
-/// among requests already present (`issued_at <= t0` — guaranteed
+/// among requests already present (`submitted_at <= t0` — guaranteed
 /// non-empty, since `t0` is never earlier than the earliest waiting
-/// request). Ties always fall back to token (submission) order, so
-/// dispatch is deterministic.
+/// request). The room is in submission order, so index 0 holds the
+/// lowest token and the oldest request; ties always fall back to token
+/// (submission) order, so dispatch is deterministic.
 fn select_next(shard: &ShardState, t0: Ns, discipline: DispatchDiscipline) -> usize {
     let candidates = || {
         shard
             .waiting
             .iter()
             .enumerate()
-            .filter(move |(_, w)| w.issued_at <= t0)
+            .filter(move |(_, w)| w.submitted_at <= t0)
     };
     match discipline {
-        DispatchDiscipline::Fifo => unreachable!("FIFO dispatch decides eagerly at submission"),
+        DispatchDiscipline::Fifo => 0,
         DispatchDiscipline::StrictPriority { promote_after_ns } => {
             // Highest class first — unless the oldest candidate has
             // aged past the promotion bound, in which case it jumps the
             // class order. This is the starvation bound the property
             // suite pins: no request waits beyond `promote_after_ns`
             // plus the residual service ahead of it.
-            let (oldest_idx, oldest) = candidates()
-                .min_by_key(|(_, w)| (w.issued_at, w.token))
-                .expect("select_next requires a candidate");
-            if t0 - oldest.issued_at > promote_after_ns {
-                oldest_idx
+            if t0 - shard.waiting[0].submitted_at > promote_after_ns {
+                0
             } else {
                 candidates()
-                    .min_by_key(|(_, w)| (w.class.priority(), w.issued_at, w.token))
+                    .min_by_key(|(_, w)| (w.req.class.priority(), w.submitted_at, w.token))
                     .expect("select_next requires a candidate")
                     .0
             }
@@ -1165,9 +1062,9 @@ struct ClientState {
     class: ReqClass,
     tenant: TenantId,
     /// The closed-loop request in flight whose completion has not been
-    /// collected yet. Resolved immediately under FIFO dispatch; under a
-    /// reordering discipline it stays `Some` until the dispatcher
-    /// decides the request.
+    /// collected yet. It stays `Some` while the request waits in its
+    /// shard's waiting room — never past the submission under FIFO,
+    /// whose order is final, so `submit` already decided it.
     inflight: Option<ReqToken>,
 }
 
@@ -1217,9 +1114,10 @@ pub fn run_frontend_with_results(cfg: &FrontendRun) -> Result<HarnessOutcome, Pt
     // 3. when neither is possible, force the dispatcher's single next
     //    decision to unblock somebody.
     //
-    // Under FIFO dispatch every submission resolves at submit, step 3
-    // never fires, and the loop degenerates to the pre-multi-tenant
-    // submit/collect cycle in the identical order.
+    // FIFO decides at submission because its order is final, so every
+    // waiting room is empty when `submit` returns: step 3 never fires,
+    // and the loop degenerates to the pre-multi-tenant submit/collect
+    // cycle in the identical order.
     loop {
         // 1. Blocked clients whose requests have resolved.
         let mut resolved_any = false;
@@ -1517,6 +1415,62 @@ mod tests {
         );
         assert_eq!(load.requests, load.served + load.dropped);
         assert_eq!(outcome.report.ops, load.served, "report counts served ops");
+
+        // A FIFO request stalled behind a full queue that then hits
+        // out-of-space turns its drop around from its admission
+        // instant — not from its submission, nor from when the engine
+        // would have started it.
+        cfg.queue_depth = 2;
+        let mut fe = Frontend::new(&cfg).expect("frontend");
+        let workload = cfg.base.workload();
+        let value = vec![0x5A; workload.value_size];
+        let hit = (0..100_000u64)
+            .find_map(|i| {
+                let token = fe
+                    .submit(Request {
+                        kind: OpKind::Update,
+                        key_index: i % workload.num_keys,
+                        value: value.clone(),
+                        ..Default::default()
+                    })
+                    .expect("submit");
+                let c = fe.take(token).expect("FIFO decides at submission");
+                (c.outcome == ReqOutcome::ShardOutOfSpace).then_some(c)
+            })
+            .expect("the near-full shard runs out of space");
+        assert!(hit.issued_at > hit.submitted_at, "stalled: {hit:?}");
+        assert!(hit.issued_at < fe.shards[0].busy_until, "{hit:?}");
+        assert_eq!(hit.done_at, hit.issued_at + DROP_LATENCY, "{hit:?}");
+    }
+
+    #[test]
+    fn wfq_slots_stay_pruned_to_the_in_flight_requests() {
+        // Completions are pruned on every submission under every
+        // discipline, so the slot scan behind admission control and
+        // `in_flight` stays as short as the shard's real backlog
+        // instead of growing with every request ever served.
+        use ptsbench_ssd::SECOND;
+        let mut cfg = FrontendRun::new(base(16 << 20), 1);
+        cfg.discipline = DispatchDiscipline::WeightedFair { weights: [8, 1, 1] };
+        let mut fe = Frontend::new(&cfg).expect("frontend");
+        for i in 0..300u64 {
+            fe.advance_to(i * SECOND);
+            fe.settle_to(fe.now()).expect("settle");
+            fe.submit(Request {
+                kind: OpKind::Update,
+                key_index: i % 64,
+                value: vec![1; 64],
+                ..Default::default()
+            })
+            .expect("submit");
+            assert!(
+                fe.shards[0].slots.len() <= fe.in_flight(0),
+                "request {i}: {} slots for {} in flight",
+                fe.shards[0].slots.len(),
+                fe.in_flight(0)
+            );
+        }
+        assert_eq!(fe.wait_all().len(), 300);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Arbitrary request streams — random kinds, keys, inter-submission
 //! gaps, shard counts, routing modes and dispatcher depths, with
 //! completions collected through a random mix of `take`/`poll`/
-//! `wait`/`wait_all` — must uphold the dispatcher's three contracts:
+//! `wait`/`wait_all` — must uphold the dispatcher's four contracts:
 //!
 //! 1. **exactly-once completion**: every submitted request produces
 //!    exactly one completion record, under any collection pattern;
@@ -13,7 +13,9 @@
 //! 3. **bounded inflight**: at no virtual instant does a shard hold
 //!    more admitted-but-incomplete requests than the configured
 //!    dispatcher depth (departures at time `t` free their slot before
-//!    admissions at `t`, the `IoQueue` discipline).
+//!    admissions at `t`, the `IoQueue` discipline);
+//! 4. **FIFO decides at submission**: every request is resolved when
+//!    `submit` returns, so `take` never misses an uncollected token.
 
 use proptest::prelude::*;
 
@@ -119,6 +121,9 @@ proptest! {
                 .expect("submit");
             submitted += 1;
             outstanding.push(token);
+            // FIFO decides at submission because its order is final:
+            // every submitted, uncollected request is already resolved.
+            prop_assert_eq!(frontend.pending(), outstanding.len());
             prop_assert!(frontend.now() >= last_submit_time);
             last_submit_time = frontend.now();
 
@@ -136,9 +141,9 @@ proptest! {
                 }
                 2 if !outstanding.is_empty() => {
                     let token = outstanding.swap_remove(next(outstanding.len() as u64) as usize);
-                    if let Some(c) = frontend.take(token) {
-                        collected.push(c);
-                    }
+                    let c = frontend.take(token);
+                    prop_assert!(c.is_some(), "FIFO resolved {token:?} at submit");
+                    collected.extend(c);
                 }
                 _ => {}
             }

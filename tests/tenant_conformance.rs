@@ -6,11 +6,11 @@
 //! byte-identical to the code that predates it. The defaults — a
 //! uniform [`ClassPolicyMap`] (every lane the same policy, exactly the
 //! old single `slo` field), `DispatchDiscipline::Fifo`, and an empty
-//! tenant table — keep the dispatcher on the seed's eager
-//! decide-at-submit path, so runs configured that way must reproduce
-//! the pre-multi-tenant harness output **byte-identically at the
-//! rendered level** — same labels, same numbers, no `mt` accounting
-//! anywhere — for every registered engine.
+//! tenant table — keep FIFO dispatch, which decides each request at
+//! submission because its order is final, so runs configured that way
+//! must reproduce the pre-multi-tenant harness output
+//! **byte-identically at the rendered level** — same labels, same
+//! numbers, no `mt` accounting anywhere — for every registered engine.
 //!
 //! Like `tests/cache_conformance.rs`, the pin is against the **golden
 //! snapshot** (`tests/golden/pr5_cache_off.txt`) captured from the
