@@ -195,13 +195,17 @@ impl BTreeDb {
             )));
         }
         seen[page as usize] = true;
-        if let Node::Internal { children, .. } = self.pager.read(page)? {
-            for child in children {
-                if child >= seen.len() as u64 {
-                    return Err(BTreeError::Corruption(format!("child {child} beyond file")));
-                }
-                self.mark_reachable(child, seen)?;
+        // Only the child list is copied: the walk recurses through the
+        // pager, which the borrowed node would otherwise hold.
+        let children = match self.pager.get(page)? {
+            Node::Internal { children, .. } => children.clone(),
+            Node::Leaf { .. } => return Ok(()),
+        };
+        for child in children {
+            if child >= seen.len() as u64 {
+                return Err(BTreeError::Corruption(format!("child {child} beyond file")));
             }
+            self.mark_reachable(child, seen)?;
         }
         Ok(())
     }
@@ -299,27 +303,21 @@ impl BTreeDb {
             .begin("btree.page_walk", self.trace.current_cause());
         let mut page = self.root;
         let result = loop {
-            let node = match self.pager.read(page) {
-                Ok(n) => n,
-                Err(e) => break Err(e),
-            };
-            match node {
-                Node::Internal { children, .. } => {
-                    let idx = {
-                        // Re-decode route on the same node.
-                        match self.pager.read(page) {
-                            Ok(n) => n.route(key),
-                            Err(e) => break Err(e),
-                        }
-                    };
-                    page = children[idx];
-                }
-                Node::Leaf { entries } => {
+            match self.pager.get(page) {
+                Ok(Node::Leaf { entries }) => {
                     break Ok(entries
                         .binary_search_by(|(k, _)| k.as_slice().cmp(key))
                         .ok()
                         .map(|i| entries[i].1.clone()));
                 }
+                Ok(Node::Internal { .. }) => {}
+                Err(e) => break Err(e),
+            }
+            // Re-decode route on the same node.
+            match self.pager.get(page) {
+                Ok(node @ Node::Internal { children, .. }) => page = children[node.route(key)],
+                Ok(Node::Leaf { .. }) => unreachable!("the page was internal a moment ago"),
+                Err(e) => break Err(e),
             }
         };
         self.trace.end(walk);
@@ -587,6 +585,32 @@ impl BTreeDb {
         Ok(true)
     }
 
+    // ----- descent -----
+
+    /// Walks from the root to the leaf covering `key`, one page access
+    /// per level, recording each internal page and the child index
+    /// taken in `path`. Returns the leaf's page number and what `leaf`
+    /// computes from the cached leaf.
+    fn descend<R>(
+        &mut self,
+        key: &[u8],
+        mut path: Option<&mut Vec<(PageNo, usize)>>,
+        leaf: impl FnOnce(&Node) -> R,
+    ) -> Result<(PageNo, R)> {
+        let mut page = self.root;
+        loop {
+            let node = self.pager.get(page)?;
+            let Node::Internal { children, .. } = node else {
+                return Ok((page, leaf(node)));
+            };
+            let idx = node.route(key);
+            if let Some(path) = path.as_deref_mut() {
+                path.push((page, idx));
+            }
+            page = children[idx];
+        }
+    }
+
     // ----- insertion -----
 
     fn insert_entry(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
@@ -598,77 +622,81 @@ impl BTreeDb {
             self.entries = 1;
             return Ok(());
         }
-        // Descend, recording the path of (page, child index).
         let mut path: Vec<(PageNo, usize)> = Vec::new();
-        let mut page = self.root;
-        let mut node = self.pager.read(page)?;
-        while let Node::Internal { ref children, .. } = node {
-            let idx = node.route(key);
-            let child = children[idx];
-            path.push((page, idx));
-            page = child;
-            node = self.pager.read(page)?;
+        let (page, ()) = self.descend(key, Some(&mut path), |_| ())?;
+        let page_bytes = self.opts.page_bytes;
+        // The leaf is modified, and split if it overflows, in place;
+        // only the right half becomes a new node. Inserts at the tail of
+        // a leaf (sequential loads) use the append-optimized split to
+        // keep leaves ~full.
+        let (inserted, split) = self.pager.update(page, |node| {
+            let Node::Leaf { entries } = node else {
+                unreachable!("descent ends at a leaf")
+            };
+            let (inserted, appended_last) =
+                match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
+                    Ok(i) => {
+                        let v = &mut entries[i].1;
+                        v.clear();
+                        v.extend_from_slice(value);
+                        (false, false)
+                    }
+                    Err(i) => {
+                        entries.insert(i, (key.to_vec(), value.to_vec()));
+                        (true, i + 1 == entries.len())
+                    }
+                };
+            let split = (node.encoded_len() > page_bytes).then(|| {
+                if appended_last {
+                    node.split_append()
+                } else {
+                    node.split()
+                }
+            });
+            (inserted, split)
+        })?;
+        if inserted {
+            self.entries += 1;
         }
-        let Node::Leaf { ref mut entries } = node else {
-            unreachable!("descent ends at a leaf")
+        let Some((mut sep, right)) = split else {
+            return Ok(());
         };
-        let mut appended_last = false;
-        match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-            Ok(i) => entries[i].1 = value.to_vec(),
-            Err(i) => {
-                appended_last = i == entries.len();
-                entries.insert(i, (key.to_vec(), value.to_vec()));
-                self.entries += 1;
-            }
-        }
-        if node.encoded_len() <= self.opts.page_bytes {
-            return self.pager.write(page, node);
-        }
 
-        // Split, propagating up the path. Inserts at the tail of a leaf
-        // (sequential loads) use the append-optimized split to keep
-        // leaves ~full.
-        let (mut sep, right) = if appended_last {
-            node.split_append()
-        } else {
-            node.split()
-        };
+        // Propagate the split up the path.
         self.stats.splits += 1;
-        self.pager.write(page, node)?;
         let mut left_page = page;
         let mut right_page = self.pager.allocate(right)?;
         loop {
-            match path.pop() {
-                Some((ppage, idx)) => {
-                    let mut pnode = self.pager.read(ppage)?;
-                    let Node::Internal {
-                        ref mut children,
-                        ref mut separators,
-                    } = pnode
-                    else {
-                        unreachable!("path holds internal nodes")
-                    };
-                    separators.insert(idx, sep);
-                    children.insert(idx + 1, right_page);
-                    if pnode.encoded_len() <= self.opts.page_bytes {
-                        return self.pager.write(ppage, pnode);
-                    }
-                    let (psep, pright) = pnode.split();
-                    self.stats.splits += 1;
-                    self.pager.write(ppage, pnode)?;
-                    sep = psep;
-                    left_page = ppage;
-                    right_page = self.pager.allocate(pright)?;
-                }
-                None => {
-                    let new_root = Node::Internal {
-                        children: vec![left_page, right_page],
-                        separators: vec![sep],
-                    };
-                    self.root = self.pager.allocate(new_root)?;
-                    return Ok(());
-                }
-            }
+            let Some((ppage, idx)) = path.pop() else {
+                let new_root = Node::Internal {
+                    children: vec![left_page, right_page],
+                    separators: vec![sep],
+                };
+                self.root = self.pager.allocate(new_root)?;
+                return Ok(());
+            };
+            // Read-modify-write of the parent: one access, then the
+            // in-place update.
+            self.pager.get(ppage)?;
+            let split = self.pager.update(ppage, |pnode| {
+                let Node::Internal {
+                    children,
+                    separators,
+                } = pnode
+                else {
+                    unreachable!("path holds internal nodes")
+                };
+                separators.insert(idx, sep);
+                children.insert(idx + 1, right_page);
+                (pnode.encoded_len() > page_bytes).then(|| pnode.split())
+            })?;
+            let Some((psep, pright)) = split else {
+                return Ok(());
+            };
+            self.stats.splits += 1;
+            sep = psep;
+            left_page = ppage;
+            right_page = self.pager.allocate(pright)?;
         }
     }
 
@@ -679,40 +707,41 @@ impl BTreeDb {
             return Ok(false);
         }
         let mut path: Vec<(PageNo, usize)> = Vec::new();
-        let mut page = self.root;
-        let mut node = self.pager.read(page)?;
-        while let Node::Internal { ref children, .. } = node {
-            let idx = node.route(key);
-            let child = children[idx];
-            path.push((page, idx));
-            page = child;
-            node = self.pager.read(page)?;
-        }
-        let Node::Leaf { ref mut entries } = node else {
-            unreachable!("descent ends at a leaf")
-        };
-        let Ok(i) = entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) else {
+        let (page, found) = self.descend(key, Some(&mut path), |leaf| {
+            let Node::Leaf { entries } = leaf else {
+                unreachable!("descent ends at a leaf")
+            };
+            entries
+                .binary_search_by(|(k, _)| k.as_slice().cmp(key))
+                .ok()
+        })?;
+        let Some(i) = found else {
             return Ok(false);
         };
-        entries.remove(i);
+        let mut cur_len = self.pager.update(page, |node| {
+            let Node::Leaf { entries } = node else {
+                unreachable!("descent ends at a leaf")
+            };
+            entries.remove(i);
+            node.encoded_len()
+        })?;
         self.entries -= 1;
-        let len_after = node.encoded_len();
-        self.pager.write(page, node)?;
 
-        // Merge undersized pages upward.
-        let mut cur_page = page;
-        let mut cur_len = len_after;
+        // Merge undersized pages upward. This rare path works on copies
+        // of the parent and both siblings, read and written exactly as
+        // before: whether the write of the merged left page evicts the
+        // right sibling (writing it back) before it is freed depends on
+        // which pages are cached at that moment.
         while cur_len < self.opts.page_bytes / self.opts.merge_divisor {
             let Some((ppage, idx)) = path.pop() else {
                 // cur is the root.
                 self.collapse_root()?;
                 break;
             };
-            let parent = self.pager.read(ppage)?;
             let Node::Internal {
                 children,
                 separators,
-            } = parent
+            } = self.pager.get(ppage)?.clone()
             else {
                 unreachable!("path holds internal nodes")
             };
@@ -724,8 +753,8 @@ impl BTreeDb {
             };
             let left_page = children[left_idx];
             let right_page = children[right_idx];
-            let left = self.pager.read(left_page)?;
-            let right = self.pager.read(right_page)?;
+            let left = self.pager.get(left_page)?.clone();
+            let right = self.pager.get(right_page)?.clone();
             let merged = match (left, right) {
                 (Node::Leaf { entries: mut le }, Node::Leaf { entries: re }) => {
                     le.extend(re);
@@ -773,18 +802,15 @@ impl BTreeDb {
             };
             cur_len = pnode.encoded_len();
             self.pager.write(ppage, pnode)?;
-            cur_page = ppage;
         }
-        let _ = cur_page;
         Ok(true)
     }
 
     fn collapse_root(&mut self) -> Result<()> {
-        let node = self.pager.read(self.root)?;
-        if let Node::Internal { children, .. } = node {
-            if children.len() == 1 {
+        if let Node::Internal { children, .. } = self.pager.get(self.root)? {
+            if let [only] = children[..] {
                 self.pager.free(self.root);
-                self.root = children[0];
+                self.root = only;
             }
         }
         Ok(())
@@ -809,13 +835,12 @@ impl BTreeDb {
         low: Option<Vec<u8>>,
         high: Option<Vec<u8>>,
     ) -> (usize, u64) {
-        let node = self.pager.read(page).expect("readable page");
-        match node {
+        let (children, separators) = match self.pager.get(page).expect("readable page") {
             Node::Leaf { entries } => {
                 for w in entries.windows(2) {
                     assert!(w[0].0 < w[1].0, "leaf keys out of order");
                 }
-                for (k, _) in &entries {
+                for (k, _) in entries {
                     if let Some(l) = &low {
                         assert!(k >= l, "leaf key below subtree bound");
                     }
@@ -823,39 +848,38 @@ impl BTreeDb {
                         assert!(k < h, "leaf key above subtree bound");
                     }
                 }
-                (1, entries.len() as u64)
+                return (1, entries.len() as u64);
             }
             Node::Internal {
                 children,
                 separators,
-            } => {
-                assert_eq!(children.len(), separators.len() + 1);
-                for w in separators.windows(2) {
-                    assert!(w[0] < w[1], "separators out of order");
-                }
-                let mut depth = None;
-                let mut total = 0;
-                for (i, &child) in children.iter().enumerate() {
-                    let clow = if i == 0 {
-                        low.clone()
-                    } else {
-                        Some(separators[i - 1].clone())
-                    };
-                    let chigh = if i == separators.len() {
-                        high.clone()
-                    } else {
-                        Some(separators[i].clone())
-                    };
-                    let (d, c) = self.verify_node(child, clow, chigh);
-                    match depth {
-                        None => depth = Some(d),
-                        Some(pd) => assert_eq!(pd, d, "unbalanced tree"),
-                    }
-                    total += c;
-                }
-                (depth.expect("internal node has children") + 1, total)
-            }
+            } => (children.clone(), separators.clone()),
+        };
+        assert_eq!(children.len(), separators.len() + 1);
+        for w in separators.windows(2) {
+            assert!(w[0] < w[1], "separators out of order");
         }
+        let mut depth = None;
+        let mut total = 0;
+        for (i, &child) in children.iter().enumerate() {
+            let clow = if i == 0 {
+                low.clone()
+            } else {
+                Some(separators[i - 1].clone())
+            };
+            let chigh = if i == separators.len() {
+                high.clone()
+            } else {
+                Some(separators[i].clone())
+            };
+            let (d, c) = self.verify_node(child, clow, chigh);
+            match depth {
+                None => depth = Some(d),
+                Some(pd) => assert_eq!(pd, d, "unbalanced tree"),
+            }
+            total += c;
+        }
+        (depth.expect("internal node has children") + 1, total)
     }
 }
 
@@ -884,15 +908,16 @@ impl BTreeScan<'_> {
     /// in-range entries.
     fn descend(&mut self, mut page: PageNo) -> Result<()> {
         loop {
-            match self.pager.read(page)? {
-                Node::Leaf { mut entries } => {
-                    if self.first_descent {
-                        let from =
-                            entries.partition_point(|(k, _)| k.as_slice() < self.start.as_slice());
-                        entries.drain(..from);
-                    }
+            match self.pager.get(page)? {
+                Node::Leaf { entries } => {
+                    let from = if self.first_descent {
+                        entries.partition_point(|(k, _)| k.as_slice() < self.start.as_slice())
+                    } else {
+                        0
+                    };
                     self.first_descent = false;
-                    self.leaf = entries.into_iter();
+                    let in_range: Vec<_> = entries[from..].to_vec();
+                    self.leaf = in_range.into_iter();
                     return Ok(());
                 }
                 Node::Internal {
@@ -905,7 +930,7 @@ impl BTreeScan<'_> {
                         0
                     };
                     page = children[idx];
-                    self.stack.push((children, idx + 1));
+                    self.stack.push((children.clone(), idx + 1));
                 }
             }
         }

@@ -6,6 +6,22 @@
 //! write-back targets the same LBAs (Fig 4's confined footprint), and
 //! the small cache (10 MB in the paper's setup) means nearly every
 //! update eventually causes one full-page write.
+//!
+//! Callers borrow cached pages rather than copy them:
+//!
+//! - [`Pager::get`] is one *page access*: a hit, or a miss that reads
+//!   the page, decodes it straight from the file's bytes and admits it.
+//!   It returns `&Node`.
+//! - [`Pager::update`] mutates a page in place, after the caller has
+//!   read it with `get`. It is the write half of a read-modify-write:
+//!   the same accounting as [`Pager::write`] on a cached page (cache
+//!   bytes, dirty bit, LRU bump, eviction).
+//! - [`Pager::write`] replaces a page with an owned node, admitting it
+//!   if it is not cached; [`Pager::allocate`] admits a new page.
+//!
+//! The accounting rule: an operation makes one page access per tree
+//! level it visits, so page-cache hits, misses and `bytes_saved` count
+//! visited pages, not lookups of the same page.
 
 use std::collections::HashMap;
 
@@ -53,7 +69,9 @@ pub struct Pager {
     next_page: PageNo,
     free_list: Vec<PageNo>,
     stats: PagerStats,
-    encode_buf: Vec<u8>,
+    /// The one page-sized staging buffer for every page image the
+    /// pager writes: encoded nodes, the metadata page, zeroed new pages.
+    page_buf: Vec<u8>,
     /// Tracing context; `None` until [`Pager::attach_trace`].
     trace: Option<TraceHandle>,
 }
@@ -72,9 +90,7 @@ impl Pager {
     /// Creates the tree file with a zeroed meta page.
     pub fn create(vfs: Vfs, file_name: &str, page_bytes: usize, cache_bytes: u64) -> Result<Self> {
         let file = vfs.create(file_name)?;
-        // Materialize the meta page.
-        vfs.write_at(file, 0, &vec![0u8; page_bytes])?;
-        Ok(Self {
+        let mut pager = Self {
             vfs,
             file,
             page_bytes,
@@ -85,9 +101,12 @@ impl Pager {
             next_page: 1,
             free_list: Vec::new(),
             stats: PagerStats::default(),
-            encode_buf: Vec::new(),
+            page_buf: Vec::new(),
             trace: None,
-        })
+        };
+        // Materialize the meta page.
+        pager.write_page_image(0, &[], false)?;
+        Ok(pager)
     }
 
     /// Attaches the tracing context: page-cache hits record
@@ -123,7 +142,7 @@ impl Pager {
             next_page: size / page_bytes as u64,
             free_list: Vec::new(),
             stats: PagerStats::default(),
-            encode_buf: Vec::new(),
+            page_buf: Vec::new(),
             trace: None,
         })
     }
@@ -159,11 +178,7 @@ impl Pager {
                 let p = self.next_page;
                 // Materialize the new page at EOF so the file never has
                 // holes (an append at the device level).
-                self.vfs.write_at(
-                    self.file,
-                    p * self.page_bytes as u64,
-                    &vec![0u8; self.page_bytes],
-                )?;
+                self.write_page_image(p, &[], false)?;
                 self.next_page += 1;
                 p
             }
@@ -184,8 +199,10 @@ impl Pager {
         self.free_list.push(page);
     }
 
-    /// Reads a page (through the cache), returning a clone of the node.
-    pub fn read(&mut self, page: PageNo) -> Result<Node> {
+    /// One page access through the cache: a hit marks the page most
+    /// recently used; a miss reads it from the file, decodes it in place
+    /// and admits it. Returns the cached node.
+    pub fn get(&mut self, page: PageNo) -> Result<&Node> {
         self.access_clock += 1;
         let clock = self.access_clock;
         if let Some(c) = self.cache.get_mut(&page) {
@@ -195,29 +212,68 @@ impl Pager {
             if let Some(t) = &self.trace {
                 t.mark("btree.cache_hit", t.current_cause());
             }
-            return Ok(c.node.clone());
+        } else {
+            self.load(page)?;
         }
+        // A just-admitted page is the most recently used one, so the
+        // eviction that admission may trigger never picks it.
+        Ok(&self.cache[&page].node)
+    }
+
+    /// The miss path of [`Pager::get`].
+    fn load(&mut self, page: PageNo) -> Result<()> {
         self.stats.cache.misses += 1;
         let span = self
             .trace
             .as_ref()
             .map(|t| t.begin("btree.page_load", t.current_cause()));
-        let load = || -> Result<Node> {
-            let buf =
-                self.vfs
-                    .read_at(self.file, page * self.page_bytes as u64, self.page_bytes)?;
-            if buf.len() < self.page_bytes {
-                return Err(BTreeError::Corruption(format!("short read of page {page}")));
-            }
-            Node::decode(&buf)
-        };
-        let node = load();
+        let page_bytes = self.page_bytes;
+        let node = self
+            .vfs
+            .read_at_with(self.file, page * page_bytes as u64, page_bytes, |buf| {
+                if buf.len() < page_bytes {
+                    return Err(BTreeError::Corruption(format!("short read of page {page}")));
+                }
+                Node::decode(buf)
+            })
+            .map_err(BTreeError::from)
+            .and_then(|decoded| decoded);
         if let (Some(t), Some(span)) = (&self.trace, span) {
             t.end(span);
         }
-        let node = node?;
-        self.insert_cached(page, node.clone(), false)?;
-        Ok(node)
+        self.insert_cached(page, node?, false)
+    }
+
+    /// Modifies a cached page in place and marks it dirty: the write
+    /// half of a read-modify-write whose read was [`Pager::get`]. After
+    /// `f` returns, the accounting is [`Pager::write`]'s for a cached
+    /// page: cache bytes follow the node's new size, the page turns
+    /// dirty and most recently used, and eviction runs. Returns what
+    /// `f` returns.
+    ///
+    /// # Panics
+    ///
+    /// If `page` is not cached, or `f` grows the node past the page
+    /// size.
+    pub fn update<R>(&mut self, page: PageNo, f: impl FnOnce(&mut Node) -> R) -> Result<R> {
+        let c = self
+            .cache
+            .get_mut(&page)
+            .unwrap_or_else(|| panic!("update of page {page}, which is not cached"));
+        let before = c.node.encoded_len();
+        let out = f(&mut c.node);
+        let after = c.node.encoded_len();
+        assert!(
+            after <= self.page_bytes,
+            "node of {after} bytes exceeds page size {}",
+            self.page_bytes
+        );
+        self.cached_bytes = self.cached_bytes - before as u64 + after as u64;
+        c.dirty = true;
+        self.access_clock += 1;
+        c.last_access = self.access_clock;
+        self.evict_as_needed()?;
+        Ok(out)
     }
 
     /// Replaces a page's contents in cache and marks it dirty; the write
@@ -282,19 +338,32 @@ impl Pager {
         if !c.dirty {
             return Ok(());
         }
-        c.node.encode(&mut self.encode_buf);
-        self.encode_buf.resize(self.page_bytes, 0);
-        let buf = std::mem::take(&mut self.encode_buf);
-        let offset = page * self.page_bytes as u64;
-        let written = if background {
-            self.vfs.write_at_bg(self.file, offset, &buf)
-        } else {
-            self.vfs.write_at(self.file, offset, &buf)
-        };
-        self.encode_buf = buf;
-        written?;
+        c.node.encode(&mut self.page_buf);
+        self.pad_and_write(page, background)?;
         self.stats.writebacks += 1;
         self.cache.get_mut(&page).expect("page cached").dirty = false;
+        Ok(())
+    }
+
+    /// Writes `image` zero-padded to a full page at page number `page`
+    /// (inline, or through the detached background path).
+    fn write_page_image(&mut self, page: PageNo, image: &[u8], background: bool) -> Result<()> {
+        assert!(image.len() <= self.page_bytes);
+        self.page_buf.clear();
+        self.page_buf.extend_from_slice(image);
+        self.pad_and_write(page, background)
+    }
+
+    /// Zero-pads the staging buffer to a full page and writes it at
+    /// page number `page`.
+    fn pad_and_write(&mut self, page: PageNo, background: bool) -> Result<()> {
+        self.page_buf.resize(self.page_bytes, 0);
+        let offset = page * self.page_bytes as u64;
+        if background {
+            self.vfs.write_at_bg(self.file, offset, &self.page_buf)?;
+        } else {
+            self.vfs.write_at(self.file, offset, &self.page_buf)?;
+        }
         Ok(())
     }
 
@@ -325,11 +394,7 @@ impl Pager {
     /// **without** an fsync — the caller gates any dependent install on
     /// [`Pager::durable_at`].
     pub fn write_meta_bg(&mut self, meta: &[u8]) -> Result<()> {
-        assert!(meta.len() <= self.page_bytes);
-        let mut meta_buf = meta.to_vec();
-        meta_buf.resize(self.page_bytes, 0);
-        self.vfs.write_at_bg(self.file, 0, &meta_buf)?;
-        Ok(())
+        self.write_page_image(0, meta, true)
     }
 
     /// The simulated time at which everything written to the tree file
@@ -364,9 +429,7 @@ impl Pager {
         for page in dirty {
             self.flush_page(page)?;
         }
-        let mut meta_buf = meta.to_vec();
-        meta_buf.resize(self.page_bytes, 0);
-        self.vfs.write_at(self.file, 0, &meta_buf)?;
+        self.write_page_image(0, meta, false)?;
         self.vfs.fsync(self.file)?;
         self.stats.checkpoints += 1;
         Ok(())
@@ -404,9 +467,46 @@ mod tests {
     fn allocate_read_write_round_trip() {
         let mut p = Pager::create(vfs(), "t.db", 4096, 64 << 10).expect("create");
         let page = p.allocate(leaf(1, 10)).expect("alloc");
-        assert_eq!(p.read(page).expect("read"), leaf(1, 10));
+        assert_eq!(p.get(page).expect("get"), &leaf(1, 10));
         p.write(page, leaf(2, 20)).expect("write");
-        assert_eq!(p.read(page).expect("read"), leaf(2, 20));
+        assert_eq!(p.get(page).expect("get"), &leaf(2, 20));
+        p.update(page, |n| *n = leaf(3, 30)).expect("update");
+        assert_eq!(p.get(page).expect("get"), &leaf(3, 30));
+    }
+
+    #[test]
+    fn update_in_place_accounts_exactly_like_a_write_back_of_a_copy() {
+        // Two pagers see the same read-modify-write stream over more
+        // pages than fit; one writes owned nodes, the other updates in
+        // place. Every counter and every device write match.
+        let (va, vb) = (vfs(), vfs());
+        let mut a = Pager::create(va.clone(), "t.db", 4096, 16 << 10).expect("create");
+        let mut b = Pager::create(vb.clone(), "t.db", 4096, 16 << 10).expect("create");
+        for i in 0..10 {
+            a.allocate(leaf(i, 2000)).expect("alloc");
+            b.allocate(leaf(i, 2000)).expect("alloc");
+        }
+        for round in 0..40u64 {
+            let page = 1 + (round * 3) % 10;
+            let grown = leaf(round as u8, 2000 + (round as usize % 7) * 300);
+            a.get(page).expect("get");
+            a.write(page, grown.clone()).expect("write");
+            b.get(page).expect("get");
+            b.update(page, |n| *n = grown).expect("update");
+        }
+        a.checkpoint(b"m").expect("ckpt");
+        b.checkpoint(b"m").expect("ckpt");
+        assert_eq!(a.stats(), b.stats());
+        assert!(a.stats().cache.evictions > 0 && a.stats().cache.misses > 0);
+        assert_eq!(va.ssd().lock().smart(), vb.ssd().lock().smart());
+        assert_eq!(va.clock().now(), vb.clock().now());
+    }
+
+    #[test]
+    #[should_panic(expected = "not cached")]
+    fn update_of_an_uncached_page_panics() {
+        let mut p = Pager::create(vfs(), "t.db", 4096, 64 << 10).expect("create");
+        p.update(7, |_| ()).expect("update");
     }
 
     #[test]
@@ -420,7 +520,7 @@ mod tests {
         assert!(p.stats().cache.evictions > 0);
         // Everything still readable (from disk where evicted).
         for (i, &page) in pages.iter().enumerate() {
-            assert_eq!(p.read(page).expect("read"), leaf(i as u8, 3000));
+            assert_eq!(p.get(page).expect("get"), &leaf(i as u8, 3000));
         }
         let s = p.stats().cache;
         assert!(s.misses > 0);

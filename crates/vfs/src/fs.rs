@@ -369,17 +369,38 @@ impl Vfs {
     /// Charges device reads for every page touched (the engines above
     /// maintain their own caches; a call here is a cache miss).
     pub fn read_at(&self, id: FileId, offset: u64, len: usize) -> Result<Vec<u8>> {
-        self.read_at_opts(id, offset, len, true)
+        self.read_at_with(id, offset, len, <[u8]>::to_vec)
+    }
+
+    /// [`Vfs::read_at`] without the copy: charges the same device reads,
+    /// then hands the file's bytes to `f` in place (for callers that
+    /// decode them straight into their own structures). `f` runs under
+    /// the filesystem lock, so it must not call back into this `Vfs`.
+    pub fn read_at_with<R>(
+        &self,
+        id: FileId,
+        offset: u64,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R> {
+        self.read_at_opts(id, offset, len, true, f)
     }
 
     /// Background read: consumes media bandwidth without advancing the
     /// simulated clock (I/O by background threads, e.g. compaction input
     /// scans).
     pub fn read_at_bg(&self, id: FileId, offset: u64, len: usize) -> Result<Vec<u8>> {
-        self.read_at_opts(id, offset, len, false)
+        self.read_at_opts(id, offset, len, false, <[u8]>::to_vec)
     }
 
-    fn read_at_opts(&self, id: FileId, offset: u64, len: usize, blocking: bool) -> Result<Vec<u8>> {
+    fn read_at_opts<R>(
+        &self,
+        id: FileId,
+        offset: u64,
+        len: usize,
+        blocking: bool,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R> {
         let mut g = self.inner.lock();
         let Inner {
             ssd,
@@ -392,7 +413,7 @@ impl Vfs {
         let node = files.get(&id).ok_or(VfsError::StaleHandle)?;
         let size = node.data.len() as u64;
         if offset >= size || len == 0 {
-            return Ok(Vec::new());
+            return Ok(f(&[]));
         }
         let len = len.min((size - offset) as usize);
         let first_page = offset / ps;
@@ -410,7 +431,7 @@ impl Vfs {
             }
             dev.tracer().end(span, clock.now());
         }
-        Ok(node.data[offset as usize..offset as usize + len].to_vec())
+        Ok(f(&node.data[offset as usize..offset as usize + len]))
     }
 
     /// Creates a submission/completion queue of `depth` outstanding
@@ -894,6 +915,25 @@ mod tests {
                 .expect("write b");
         }
         a
+    }
+
+    #[test]
+    fn borrowed_read_charges_exactly_what_the_copying_read_charges() {
+        let copy_fs = fs();
+        let borrow_fs = fs();
+        let fa = fragmented_file(&copy_fs, 8);
+        let fb = fragmented_file(&borrow_fs, 8);
+        let want = copy_fs.read_at(fa, 100, 5 * 4096).expect("copying read");
+        let got = borrow_fs
+            .read_at_with(fb, 100, 5 * 4096, |b| b == want.as_slice())
+            .expect("borrowed read");
+        assert!(got, "the closure sees the bytes read_at returns");
+        assert_eq!(copy_fs.clock().now(), borrow_fs.clock().now());
+        assert_eq!(copy_fs.ssd().lock().smart(), borrow_fs.ssd().lock().smart());
+        let past_eof = borrow_fs
+            .read_at_with(fb, 1 << 30, 10, <[u8]>::len)
+            .expect("read past EOF");
+        assert_eq!(past_eof, 0, "past EOF the closure sees no bytes");
     }
 
     #[test]
