@@ -301,25 +301,17 @@ impl BTreeDb {
         let walk = self
             .trace
             .begin("btree.page_walk", self.trace.current_cause());
-        let mut page = self.root;
-        let result = loop {
-            match self.pager.get(page) {
-                Ok(Node::Leaf { entries }) => {
-                    break Ok(entries
-                        .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-                        .ok()
-                        .map(|i| entries[i].1.clone()));
-                }
-                Ok(Node::Internal { .. }) => {}
-                Err(e) => break Err(e),
-            }
-            // Re-decode route on the same node.
-            match self.pager.get(page) {
-                Ok(node @ Node::Internal { children, .. }) => page = children[node.route(key)],
-                Ok(Node::Leaf { .. }) => unreachable!("the page was internal a moment ago"),
-                Err(e) => break Err(e),
-            }
-        };
+        let result = self
+            .descend(key, None, |leaf| {
+                let Node::Leaf { entries } = leaf else {
+                    unreachable!("descent ends at a leaf")
+                };
+                entries
+                    .binary_search_by(|(k, _)| k.as_slice().cmp(key))
+                    .ok()
+                    .map(|i| entries[i].1.clone())
+            })
+            .map(|(_, value)| value);
         self.trace.end(walk);
         result
     }
