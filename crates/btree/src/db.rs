@@ -719,11 +719,12 @@ impl BTreeDb {
         })?;
         self.entries -= 1;
 
-        // Merge undersized pages upward. This rare path works on copies
-        // of the parent and both siblings, read and written exactly as
-        // before: whether the write of the merged left page evicts the
-        // right sibling (writing it back) before it is freed depends on
-        // which pages are cached at that moment.
+        // Merge undersized pages upward. This rare path copies the parent
+        // and both siblings and writes whole nodes, in this order: the
+        // write of the merged left page may evict the right sibling
+        // (writing it back) before it is freed, and either page may have
+        // been evicted since it was read, which `write` handles and an
+        // in-place update cannot.
         while cur_len < self.opts.page_bytes / self.opts.merge_divisor {
             let Some((ppage, idx)) = path.pop() else {
                 // cur is the root.

@@ -200,8 +200,8 @@ impl Pager {
     }
 
     /// One page access through the cache: a hit marks the page most
-    /// recently used; a miss reads it from the file, decodes it in place
-    /// and admits it. Returns the cached node.
+    /// recently used; a miss decodes the page straight from the file's
+    /// bytes and admits it. Returns the cached node.
     pub fn get(&mut self, page: PageNo) -> Result<&Node> {
         self.access_clock += 1;
         let clock = self.access_clock;
@@ -246,10 +246,10 @@ impl Pager {
 
     /// Modifies a cached page in place and marks it dirty: the write
     /// half of a read-modify-write whose read was [`Pager::get`]. After
-    /// `f` returns, the accounting is [`Pager::write`]'s for a cached
-    /// page: cache bytes follow the node's new size, the page turns
-    /// dirty and most recently used, and eviction runs. Returns what
-    /// `f` returns.
+    /// `f` returns, cache bytes follow the node's new size, the page
+    /// turns dirty and most recently used, and eviction runs — the same
+    /// accounting as [`Pager::write`] of a cached page, which is this
+    /// update with a replacing closure. Returns what `f` returns.
     ///
     /// # Panics
     ///
@@ -279,22 +279,15 @@ impl Pager {
     /// Replaces a page's contents in cache and marks it dirty; the write
     /// reaches the file on eviction or checkpoint.
     pub fn write(&mut self, page: PageNo, node: Node) -> Result<()> {
+        if self.cache.contains_key(&page) {
+            return self.update(page, |cached| *cached = node);
+        }
         assert!(
             node.encoded_len() <= self.page_bytes,
             "node of {} bytes exceeds page size {}",
             node.encoded_len(),
             self.page_bytes
         );
-        if let Some(c) = self.cache.get_mut(&page) {
-            self.cached_bytes =
-                self.cached_bytes - c.node.encoded_len() as u64 + node.encoded_len() as u64;
-            c.node = node;
-            c.dirty = true;
-            self.access_clock += 1;
-            c.last_access = self.access_clock;
-            self.evict_as_needed()?;
-            return Ok(());
-        }
         self.insert_cached(page, node, true)
     }
 
@@ -472,34 +465,6 @@ mod tests {
         assert_eq!(p.get(page).expect("get"), &leaf(2, 20));
         p.update(page, |n| *n = leaf(3, 30)).expect("update");
         assert_eq!(p.get(page).expect("get"), &leaf(3, 30));
-    }
-
-    #[test]
-    fn update_in_place_accounts_exactly_like_a_write_back_of_a_copy() {
-        // Two pagers see the same read-modify-write stream over more
-        // pages than fit; one writes owned nodes, the other updates in
-        // place. Every counter and every device write match.
-        let (va, vb) = (vfs(), vfs());
-        let mut a = Pager::create(va.clone(), "t.db", 4096, 16 << 10).expect("create");
-        let mut b = Pager::create(vb.clone(), "t.db", 4096, 16 << 10).expect("create");
-        for i in 0..10 {
-            a.allocate(leaf(i, 2000)).expect("alloc");
-            b.allocate(leaf(i, 2000)).expect("alloc");
-        }
-        for round in 0..40u64 {
-            let page = 1 + (round * 3) % 10;
-            let grown = leaf(round as u8, 2000 + (round as usize % 7) * 300);
-            a.get(page).expect("get");
-            a.write(page, grown.clone()).expect("write");
-            b.get(page).expect("get");
-            b.update(page, |n| *n = grown).expect("update");
-        }
-        a.checkpoint(b"m").expect("ckpt");
-        b.checkpoint(b"m").expect("ckpt");
-        assert_eq!(a.stats(), b.stats());
-        assert!(a.stats().cache.evictions > 0 && a.stats().cache.misses > 0);
-        assert_eq!(va.ssd().lock().smart(), vb.ssd().lock().smart());
-        assert_eq!(va.clock().now(), vb.clock().now());
     }
 
     #[test]
