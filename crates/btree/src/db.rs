@@ -132,7 +132,6 @@ impl BTreeDb {
             ));
         }
         let root = u64::from_le_bytes(meta[6..14].try_into().expect("8 bytes"));
-        let entries = u64::from_le_bytes(meta[14..22].try_into().expect("8 bytes"));
         if root >= pager.page_count() {
             return Err(BTreeError::Corruption(format!(
                 "meta root {root} beyond file end ({} pages)",
@@ -146,7 +145,7 @@ impl BTreeDb {
             journal: None, // attached after replay so replay is not re-logged
             opts,
             root,
-            entries,
+            entries: 0,
             stats: BTreeStats::default(),
             bytes_since_checkpoint: 0,
             maint,
@@ -155,11 +154,15 @@ impl BTreeDb {
         };
 
         // Rebuild the free list: pages not reachable from the root are
-        // garbage from un-checkpointed allocations or old frees.
+        // garbage from un-checkpointed allocations or old frees. The
+        // entry count comes from the leaves the walk visits, not from
+        // the meta page: pages evicted after the checkpoint were
+        // written back in place, so the tree can already hold entries
+        // the checkpoint-time count does not include.
         let mut reachable = vec![false; db.pager.page_count() as usize];
         reachable[0] = true; // meta page
         if root != 0 {
-            db.mark_reachable(root, &mut reachable)?;
+            db.entries = db.mark_reachable(root, &mut reachable)?;
         }
         let free: Vec<PageNo> = (1..db.pager.page_count())
             .filter(|&p| !reachable[p as usize])
@@ -188,7 +191,9 @@ impl BTreeDb {
         Ok(db)
     }
 
-    fn mark_reachable(&mut self, page: PageNo, seen: &mut [bool]) -> Result<()> {
+    /// Marks `page` and its subtree reachable; returns the number of
+    /// entries in the subtree's leaves.
+    fn mark_reachable(&mut self, page: PageNo, seen: &mut [bool]) -> Result<u64> {
         if seen[page as usize] {
             return Err(BTreeError::Corruption(format!(
                 "page {page} reachable twice"
@@ -199,15 +204,16 @@ impl BTreeDb {
         // pager, which the borrowed node would otherwise hold.
         let children = match self.pager.get(page)? {
             Node::Internal { children, .. } => children.clone(),
-            Node::Leaf { .. } => return Ok(()),
+            Node::Leaf { entries } => return Ok(entries.len() as u64),
         };
+        let mut entries = 0;
         for child in children {
             if child >= seen.len() as u64 {
                 return Err(BTreeError::Corruption(format!("child {child} beyond file")));
             }
-            self.mark_reachable(child, seen)?;
+            entries += self.mark_reachable(child, seen)?;
         }
-        Ok(())
+        Ok(entries)
     }
 
     /// The engine options.
@@ -434,9 +440,8 @@ impl BTreeDb {
     }
 
     /// Drains every outstanding checkpoint job to completion with
-    /// forced slices. Callers that end a run or leave a `ClockBarrier`
-    /// must drain first so no shard exits with a half-written
-    /// checkpoint.
+    /// forced slices. Callers that end a run must drain first so no
+    /// shard exits with a half-written checkpoint.
     pub fn drain_maintenance(&mut self) -> Result<()> {
         if self.maint.is_none() {
             return Ok(());

@@ -124,6 +124,11 @@ impl Journal {
 
     /// Replays every record persisted in the journal since the last
     /// checkpoint truncation, skipping sync padding.
+    ///
+    /// A record whose header or payload runs past the end of the file
+    /// is a torn tail (the handle was dropped before `sync` padded the
+    /// last page out): replay stops there and drops it. An unknown
+    /// non-zero tag is corruption.
     pub fn replay(vfs: &Vfs) -> Result<Vec<JournalRecord>> {
         if !vfs.exists("journal-0") {
             return Ok(Vec::new());
@@ -139,7 +144,7 @@ impl Journal {
                 0 => pos = ((pos / page) + 1) * page,
                 tag @ (TAG_PUT | TAG_DELETE) => {
                     if pos + 9 > buf.len() {
-                        return Err(BTreeError::Corruption("truncated journal header".into()));
+                        break;
                     }
                     let klen =
                         u32::from_le_bytes(buf[pos + 1..pos + 5].try_into().expect("4")) as usize;
@@ -147,7 +152,7 @@ impl Journal {
                         u32::from_le_bytes(buf[pos + 5..pos + 9].try_into().expect("4")) as usize;
                     let kstart = pos + 9;
                     if kstart + klen + vlen > buf.len() {
-                        return Err(BTreeError::Corruption("truncated journal payload".into()));
+                        break;
                     }
                     let key = buf[kstart..kstart + klen].to_vec();
                     if tag == TAG_PUT {
@@ -198,5 +203,37 @@ mod tests {
         j.truncate().expect("truncate");
         assert!(v.exists("journal-0"), "journal recycled in place");
         assert_eq!(v.size(v.open("journal-0").expect("open")).expect("size"), 0);
+    }
+
+    #[test]
+    fn replay_drops_a_torn_tail_but_rejects_a_bad_tag() {
+        let v = vfs();
+        let page = v.page_size() as usize;
+        let mut j = Journal::create(v.clone()).expect("create");
+        j.log_put(b"a", b"1").expect("log");
+        // Spill the buffer so the last appended page ends mid-record.
+        j.log_put(b"b", &vec![7u8; page]).expect("log");
+        let records = Journal::replay(&v).expect("torn payload is not an error");
+        assert_eq!(
+            records,
+            vec![JournalRecord::Put(b"a".to_vec(), b"1".to_vec())]
+        );
+
+        // A torn header: a tag byte with fewer than eight length bytes.
+        let file = v.open("journal-0").expect("open");
+        v.truncate(file, 0).expect("truncate");
+        let mut torn = vec![0u8; page];
+        torn[page - 3] = TAG_PUT;
+        v.append(file, &torn).expect("append");
+        assert_eq!(Journal::replay(&v).expect("torn header"), Vec::new());
+
+        v.truncate(file, 0).expect("truncate");
+        let mut bad = vec![0u8; page];
+        bad[0] = 9;
+        v.append(file, &bad).expect("append");
+        assert!(matches!(
+            Journal::replay(&v),
+            Err(BTreeError::Corruption(_))
+        ));
     }
 }

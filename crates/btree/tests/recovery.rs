@@ -83,6 +83,43 @@ fn journal_tail_survives_past_checkpoint() {
 }
 
 #[test]
+fn crash_without_journal_sync_recovers() {
+    let v = vfs();
+    let value = |i: u32| format!("tail{i}").repeat(40).into_bytes();
+    {
+        let mut db = BTreeDb::open(v.clone(), BTreeOptions::small()).expect("open");
+        for i in 0..300u32 {
+            db.put(&key(i), b"checkpointed").expect("put");
+        }
+        db.checkpoint().expect("checkpoint");
+        // Records of this size spill journal pages mid-record, so the
+        // last page on disk ends in a torn record.
+        for i in 300..400u32 {
+            db.put(&key(i), &value(i)).expect("put");
+        }
+        // Crash: no `sync_journal`, the buffered tail is lost.
+    }
+    let mut recovered = BTreeDb::recover(v, BTreeOptions::small()).expect("torn tail recovers");
+    let (_, count) = recovered.verify();
+    assert_eq!(count, recovered.len());
+    for i in 0..300u32 {
+        assert_eq!(
+            recovered.get(&key(i)).expect("get"),
+            Some(b"checkpointed".to_vec())
+        );
+    }
+    let mut survivors = 0;
+    for i in 300..400u32 {
+        if let Some(got) = recovered.get(&key(i)).expect("get") {
+            assert_eq!(got, value(i), "key {i} recovered with a wrong value");
+            survivors += 1;
+        }
+    }
+    assert!(survivors > 0, "full journal pages must be replayed");
+    assert!(survivors < 100, "the unsynced tail must be lost");
+}
+
+#[test]
 fn recovered_tree_reuses_unreachable_pages() {
     let v = vfs();
     let pages_before;

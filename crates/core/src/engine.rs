@@ -381,10 +381,10 @@ pub trait PtsEngine: Send {
     /// (compaction input reads) that nothing will ever wait on.
     ///
     /// The measured phase of an experiment only ends once this has run
-    /// — a client leaving a `ClockBarrier` with detached commands in
-    /// flight would under-count its epoch's simulated work (see
-    /// `ptsbench_ssd::IoQueue::quiesce`). Engines on the synchronous
-    /// path (no queues, or queue depth 1) keep the no-op default.
+    /// — ending it with detached commands in flight would under-count
+    /// its simulated work (see `ptsbench_ssd::IoQueue::quiesce`).
+    /// Engines on the synchronous path (no queues, or queue depth 1)
+    /// keep the no-op default.
     fn drain_io(&mut self) {}
 
     /// Runs at most one bounded background-maintenance slice (a flush,

@@ -13,8 +13,7 @@
 //! * [`bulk_load`] — the batched sequential load phase;
 //! * [`Experiment`] — the whole lifecycle behind a resumable cursor:
 //!   [`Experiment::run_until`] advances the measured phase to a virtual
-//!   deadline and can be called repeatedly (the harness steps each
-//!   shard one barrier epoch at a time), and [`Experiment::finish`]
+//!   deadline and can be called repeatedly, and [`Experiment::finish`]
 //!   produces the final [`RunResult`].
 //!
 //! Failures surface as [`PtsError`] values, never panics, so a harness
@@ -303,10 +302,9 @@ impl Experiment {
 
     /// Advances the measured phase until `rel_deadline` nanoseconds
     /// after its start (capped by the configured duration). Safe to
-    /// call again with a later deadline; the concurrent harness steps
-    /// shards one barrier epoch at a time this way. Out-of-space ends
-    /// the phase and is reported by [`Experiment::out_of_space`]; hard
-    /// engine failures return `Err`.
+    /// call again with a later deadline: stepping gives the same result
+    /// as one call. Out-of-space ends the phase and is reported by
+    /// [`Experiment::out_of_space`]; hard engine failures return `Err`.
     pub fn run_until(&mut self, rel_deadline: Ns) -> Result<(), PtsError> {
         if self.done() {
             return Ok(());
@@ -514,8 +512,7 @@ impl Experiment {
     /// Ends the measured phase properly: the engine's asynchronous I/O
     /// is drained first ([`PtsEngine::drain_io`]), so detached
     /// background commands still in flight are accounted on this
-    /// shard's timeline before any caller — notably a harness client
-    /// about to leave its `ClockBarrier` — treats the run as finished.
+    /// shard's timeline before any caller treats the run as finished.
     pub fn finish(mut self) -> RunResult {
         if let Some(system) = self.system.as_mut() {
             // Deferred maintenance first, so the version state and the

@@ -1,13 +1,10 @@
-//! The multi-client driver: client threads, barrier epochs, merge.
-
-use std::sync::Arc;
+//! The multi-client driver: client threads over shared-nothing shards, merge.
 
 use ptsbench_core::engine::PtsError;
 use ptsbench_core::measure::Experiment;
 use ptsbench_core::runner::RunResult;
 use ptsbench_core::sharded::ShardedRun;
 use ptsbench_metrics::runreport::{QueueDepthSummary, RunReport, ShardReport};
-use ptsbench_ssd::ClockBarrier;
 
 /// Everything a sharded run produces: the merged report plus the full
 /// per-shard [`RunResult`]s (in shard-index order) for callers that
@@ -22,13 +19,11 @@ pub struct HarnessOutcome {
 
 /// Runs a concurrent sharded experiment and returns the merged report.
 ///
-/// Spawns `cfg.clients` OS threads; each prepares and drives its own
-/// disjoint subset of the `cfg.shards` shard experiments, advancing
-/// them one `cfg.epoch` of virtual time at a time and synchronizing on
-/// a [`ClockBarrier`] between epochs. Per-shard out-of-space ends that
-/// shard early but the run continues; any hard engine failure stops
-/// the run and is returned (the failing client leaves the barrier so
-/// the others drain instead of deadlocking).
+/// Spawns `cfg.clients` OS threads; each prepares, runs and finishes
+/// its own disjoint subset of the `cfg.shards` shard experiments.
+/// Per-shard out-of-space ends that shard early but the run continues;
+/// a hard engine failure is returned once every client has stopped,
+/// and a client panic is re-raised on the caller.
 ///
 /// With fixed seeds the merged report is byte-identical run-to-run —
 /// shard simulations share nothing, so thread scheduling cannot perturb
@@ -40,14 +35,10 @@ pub fn run_sharded(cfg: &ShardedRun) -> Result<RunReport, PtsError> {
 /// [`run_sharded`], also returning the per-shard [`RunResult`]s.
 pub fn run_sharded_with_results(cfg: &ShardedRun) -> Result<HarnessOutcome, PtsError> {
     cfg.validate();
-    let barrier = ClockBarrier::new(cfg.clients, cfg.epoch);
 
     let per_client: Vec<Result<Vec<(usize, RunResult)>, PtsError>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..cfg.clients)
-            .map(|client| {
-                let barrier = Arc::clone(&barrier);
-                s.spawn(move || drive_client(cfg, client, &barrier))
-            })
+            .map(|client| s.spawn(move || drive_client(cfg, client)))
             .collect();
         handles
             .into_iter()
@@ -77,42 +68,17 @@ pub fn run_sharded_with_results(cfg: &ShardedRun) -> Result<HarnessOutcome, PtsE
     })
 }
 
-/// Leaves the barrier when dropped, so a client that returns an error
-/// — or *unwinds on a panic* — always stops the other clients from
-/// waiting for it at the next boundary instead of deadlocking them.
-struct LeaveOnExit<'a>(&'a ClockBarrier);
-
-impl Drop for LeaveOnExit<'_> {
-    fn drop(&mut self) {
-        self.0.leave();
-    }
-}
-
-/// One client thread: prepare owned shards, step them through barrier
-/// epochs, finish them.
-fn drive_client(
-    cfg: &ShardedRun,
-    client: usize,
-    barrier: &ClockBarrier,
-) -> Result<Vec<(usize, RunResult)>, PtsError> {
-    let _leave = LeaveOnExit(barrier);
-    let mut experiments: Vec<(usize, Experiment)> = Vec::new();
-    for shard in cfg.shards_of_client(client) {
-        let shard_cfg = cfg.shard_config(shard);
-        let workload = cfg.shard_workload(shard);
-        experiments.push((shard, Experiment::prepare_with(&shard_cfg, workload)?));
-    }
-    for epoch in 1..=cfg.epochs() {
-        let rel_deadline = (epoch * cfg.epoch).min(cfg.base.duration);
-        for (_, experiment) in experiments.iter_mut() {
-            experiment.run_until(rel_deadline)?;
-        }
-        barrier.arrive();
-    }
-    Ok(experiments
+/// One client thread: prepare, run and finish each owned shard.
+fn drive_client(cfg: &ShardedRun, client: usize) -> Result<Vec<(usize, RunResult)>, PtsError> {
+    cfg.shards_of_client(client)
         .into_iter()
-        .map(|(shard, experiment)| (shard, experiment.finish()))
-        .collect())
+        .map(|shard| {
+            let shard_cfg = cfg.shard_config(shard);
+            let mut experiment = Experiment::prepare_with(&shard_cfg, cfg.shard_workload(shard))?;
+            experiment.run_until(cfg.base.duration)?;
+            Ok((shard, experiment.finish()))
+        })
+        .collect()
 }
 
 /// A shard's contribution to the merged report, shared by the sharded
@@ -291,8 +257,7 @@ mod tests {
         let mut cfg = base(32 << 20);
         cfg.engine = kind;
         let sharded = ShardedRun::new(cfg, 2);
-        // Must not hang: the panicking client's barrier departure (drop
-        // guard) releases the other client, and the panic propagates.
+        // Must not hang: the panic propagates out of the thread scope.
         let outcome =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_sharded(&sharded)));
         assert!(outcome.is_err(), "the client panic must propagate");

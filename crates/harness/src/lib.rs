@@ -15,12 +15,10 @@
 //!   (`WorkloadSpec::shard`). Nothing is shared between shards, so no
 //!   thread interleaving can perturb any shard's simulation — the
 //!   KVell-style partitioned design the paper's §4.1 discusses.
-//! * **Real threads, virtual lockstep.** `N` client threads each drive
-//!   their shards' measured phases one epoch at a time and meet at a
-//!   `ptsbench_ssd::ClockBarrier` between epochs: the global experiment
-//!   clock only advances when every active client has simulated up to
-//!   the boundary, so sampling windows line up across clients and no
-//!   client runs arbitrarily ahead.
+//! * **Real threads, independent clocks.** `N` client threads each
+//!   prepare, run and finish their own shards, every shard on its own
+//!   virtual clock. The threads share nothing, so they never wait for
+//!   each other; a client's panic propagates to the caller.
 //! * **Mergeable metrics.** Every client records its own latency
 //!   histogram and per-window series; [`run_sharded`] folds them into
 //!   one `ptsbench_metrics::RunReport`. Fixed seeds produce

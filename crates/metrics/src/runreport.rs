@@ -225,14 +225,7 @@ impl RunReport {
     /// active). Counters sum; the span stays the shared measurement
     /// window, so [`SloStats::goodput_per_sec`] is the fleet rate.
     pub fn slo_totals(&self) -> Option<SloStats> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.slo.as_ref())
-            .fold(None, |acc, s| {
-                let mut total = acc.unwrap_or_default();
-                total.merge(s);
-                Some(total)
-            })
+        self.fold_sections(|s| s.slo.as_ref(), SloStats::merge)
     }
 
     /// Fleet-level multi-tenant accounting, folded over every shard
@@ -241,14 +234,7 @@ impl RunReport {
     /// lanes merge lane-wise; tenant ledgers merge by id; starvation
     /// maxima take the fleet-wide max.
     pub fn mt_totals(&self) -> Option<MtStats> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.mt.as_ref())
-            .fold(None, |acc, s| {
-                let mut total: MtStats = acc.unwrap_or_default();
-                total.merge(s);
-                Some(total)
-            })
+        self.fold_sections(|s| s.mt.as_ref(), MtStats::merge)
     }
 
     /// Run-level cache accounting, folded over every shard that
@@ -256,14 +242,7 @@ impl RunReport {
     /// configured). Counters sum across shards; the hit rate is the
     /// fleet-wide rate.
     pub fn cache_totals(&self) -> Option<CacheStats> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.cache.as_ref())
-            .fold(None, |acc, s| {
-                let mut total = acc.unwrap_or_default();
-                total.merge(s);
-                Some(total)
-            })
+        self.fold_sections(|s| s.cache.as_ref(), CacheStats::merge)
     }
 
     /// Fleet-level per-cause device traffic, folded over every shard
@@ -271,14 +250,7 @@ impl RunReport {
     /// was traced). Counters sum across shards, so the totals row is
     /// the fleet's whole device traffic by provenance.
     pub fn cause_totals(&self) -> Option<CauseStats> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.cause.as_ref())
-            .fold(None, |acc, s| {
-                let mut total = acc.unwrap_or_default();
-                total.merge(s);
-                Some(total)
-            })
+        self.fold_sections(|s| s.cause.as_ref(), CauseStats::merge)
     }
 
     /// Fleet-level background-maintenance accounting, folded over every
@@ -286,14 +258,21 @@ impl RunReport {
     /// ran inline). Counters and byte ledgers sum across shards, so the
     /// footer's write/space amplification is the fleet-wide figure.
     pub fn maint_totals(&self) -> Option<MaintStats> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.maint.as_ref())
-            .fold(None, |acc, s| {
-                let mut total = acc.unwrap_or_default();
-                total.merge(s);
-                Some(total)
-            })
+        self.fold_sections(|s| s.maint.as_ref(), MaintStats::merge)
+    }
+
+    /// Folds one optional per-shard section over every shard that
+    /// reported it with the section's `merge` (`None` when none did).
+    fn fold_sections<T: Default>(
+        &self,
+        pick: impl Fn(&ShardReport) -> Option<&T>,
+        merge: fn(&mut T, &T),
+    ) -> Option<T> {
+        self.shards.iter().filter_map(pick).fold(None, |acc, s| {
+            let mut total = acc.unwrap_or_default();
+            merge(&mut total, s);
+            Some(total)
+        })
     }
 
     /// Deterministic plain-text rendering (byte-identical for

@@ -7,20 +7,12 @@
 //! clock to that completion. This makes whole experiments deterministic:
 //! "minutes" on a plot are simulated minutes, not wall-clock minutes.
 //!
-//! Concurrent experiments add a second structure: the [`ClockBarrier`],
-//! which lets several client threads — each simulating its own
-//! shared-nothing stack on its own [`SimClock`] — advance one *global*
-//! experiment clock in fixed quanta (epochs). Every client simulates up
-//! to the next epoch boundary on its private timeline, then waits at
-//! the barrier; when the last client arrives, the global clock jumps to
-//! the boundary and all clients resume. Global time therefore never
-//! runs ahead of any client, sampling windows line up across clients,
-//! and — because each client's simulation is fully independent between
-//! boundaries — results remain deterministic no matter how the OS
-//! schedules the threads.
+//! Each shared-nothing stack of a concurrent experiment runs on its own
+//! [`SimClock`]; nothing couples the timelines, so a shard's result does
+//! not depend on which thread simulates it or when.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 /// Nanoseconds of simulated time.
 pub type Ns = u64;
@@ -74,127 +66,6 @@ impl SimClock {
     }
 }
 
-/// Mutable barrier state (under the mutex).
-#[derive(Debug)]
-struct BarrierState {
-    /// Clients still participating (leavers decrement this).
-    parties: usize,
-    /// Clients that have arrived at the current epoch boundary.
-    arrived: usize,
-    /// Completed epochs; epoch `e` ends at virtual time `e * quantum`.
-    epoch: u64,
-}
-
-/// A virtual-time barrier for multi-threaded charging of one experiment
-/// clock.
-///
-/// `parties` client threads each run an independent simulation on a
-/// private [`SimClock`]. [`ClockBarrier::arrive`] blocks the caller
-/// until all active parties have reached the same epoch boundary, then
-/// advances the shared global clock to `epoch * quantum` and releases
-/// everyone. A client that finishes early (out of space, failure) must
-/// call [`ClockBarrier::leave`] so the others stop waiting for it.
-#[derive(Debug)]
-pub struct ClockBarrier {
-    quantum: Ns,
-    clock: Arc<SimClock>,
-    state: Mutex<BarrierState>,
-    cv: Condvar,
-}
-
-impl ClockBarrier {
-    /// A barrier for `parties` clients advancing in `quantum`-sized
-    /// epochs, with a fresh global clock at zero.
-    pub fn new(parties: usize, quantum: Ns) -> Arc<Self> {
-        assert!(parties > 0, "barrier needs at least one party");
-        assert!(quantum > 0, "quantum must be positive");
-        Arc::new(Self {
-            quantum,
-            clock: SimClock::new(),
-            state: Mutex::new(BarrierState {
-                parties,
-                arrived: 0,
-                epoch: 0,
-            }),
-            cv: Condvar::new(),
-        })
-    }
-
-    /// The shared global experiment clock. It only moves at epoch
-    /// boundaries, and never runs ahead of the slowest active client.
-    pub fn clock(&self) -> Arc<SimClock> {
-        Arc::clone(&self.clock)
-    }
-
-    /// Epoch length in virtual nanoseconds.
-    pub fn quantum(&self) -> Ns {
-        self.quantum
-    }
-
-    /// Completed epochs so far.
-    pub fn epoch(&self) -> u64 {
-        self.lock().epoch
-    }
-
-    /// Active (not-left) parties.
-    pub fn parties(&self) -> usize {
-        self.lock().parties
-    }
-
-    /// Announces that the caller has simulated up to the next epoch
-    /// boundary and blocks until every other active party has too. The
-    /// last arrival advances the global clock to the boundary and wakes
-    /// everyone. Returns the number of completed epochs.
-    pub fn arrive(&self) -> u64 {
-        let mut g = self.lock();
-        let my_epoch = g.epoch;
-        g.arrived += 1;
-        if g.arrived >= g.parties {
-            self.release(&mut g);
-        } else {
-            while g.epoch == my_epoch {
-                g = self.cv.wait(g).unwrap_or_else(|e| e.into_inner());
-            }
-        }
-        g.epoch
-    }
-
-    /// Permanently removes the calling party (it finished its run or
-    /// failed). If everyone else has already arrived at the boundary,
-    /// this releases them.
-    ///
-    /// **Drain before leaving.** A party that still has asynchronous
-    /// work in flight on its private timeline — detached I/O commands
-    /// whose completion lies beyond its current clock — must advance
-    /// its private clock past those completions first (see
-    /// `IoQueue::quiesce`). Leaving with work outstanding under-counts
-    /// the epoch: the barrier credits the party with having simulated
-    /// up to the boundary while commands it charged to the device are
-    /// still "running" past it, so later epochs start from a clock that
-    /// never accounted for them. The harness enforces this by quiescing
-    /// every engine queue when an experiment finishes, before the
-    /// departure.
-    pub fn leave(&self) {
-        let mut g = self.lock();
-        assert!(g.parties > 0, "leave without a matching party");
-        g.parties -= 1;
-        if g.parties > 0 && g.arrived >= g.parties {
-            self.release(&mut g);
-        }
-    }
-
-    fn release(&self, g: &mut BarrierState) {
-        g.arrived = 0;
-        g.epoch += 1;
-        self.clock.advance_to(g.epoch.saturating_mul(self.quantum));
-        self.cv.notify_all();
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, BarrierState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,73 +94,5 @@ mod tests {
         assert_eq!(SECOND, 1_000 * MILLISECOND);
         assert_eq!(MILLISECOND, 1_000 * MICROSECOND);
         assert_eq!(MINUTE, 60 * SECOND);
-    }
-
-    #[test]
-    fn barrier_advances_global_clock_in_lockstep() {
-        let barrier = ClockBarrier::new(3, 100);
-        let clock = barrier.clock();
-        assert_eq!(clock.now(), 0);
-        std::thread::scope(|s| {
-            for _ in 0..3 {
-                let b = Arc::clone(&barrier);
-                s.spawn(move || {
-                    for e in 1..=5u64 {
-                        let epoch = b.arrive();
-                        assert!(epoch >= e);
-                        // Global time never runs ahead of the epochs
-                        // all clients completed.
-                        assert!(b.clock().now() >= e * 100);
-                    }
-                });
-            }
-        });
-        assert_eq!(barrier.epoch(), 5);
-        assert_eq!(clock.now(), 500);
-    }
-
-    #[test]
-    fn barrier_single_party_never_blocks() {
-        let b = ClockBarrier::new(1, 7);
-        assert_eq!(b.arrive(), 1);
-        assert_eq!(b.arrive(), 2);
-        assert_eq!(b.clock().now(), 14);
-    }
-
-    #[test]
-    fn leaving_party_unblocks_the_rest() {
-        let barrier = ClockBarrier::new(2, 10);
-        std::thread::scope(|s| {
-            let b = Arc::clone(&barrier);
-            let worker = s.spawn(move || {
-                // Two epochs while the partner is alive, then two more
-                // after it leaves.
-                for _ in 0..4 {
-                    b.arrive();
-                }
-            });
-            barrier.arrive();
-            barrier.arrive();
-            barrier.leave();
-            worker.join().expect("worker");
-        });
-        assert_eq!(barrier.epoch(), 4);
-        assert_eq!(barrier.parties(), 1);
-    }
-
-    #[test]
-    fn leave_releases_waiters_already_at_the_boundary() {
-        let barrier = ClockBarrier::new(2, 10);
-        std::thread::scope(|s| {
-            let b = Arc::clone(&barrier);
-            let waiter = s.spawn(move || b.arrive());
-            // Give the waiter a moment to block, then leave; it must be
-            // released by the departure, not stay stuck.
-            while barrier.lock().arrived == 0 {
-                std::thread::yield_now();
-            }
-            barrier.leave();
-            assert_eq!(waiter.join().expect("waiter"), 1);
-        });
     }
 }

@@ -65,7 +65,7 @@ pub mod stats;
 pub mod trace;
 pub mod types;
 
-pub use clock::{ClockBarrier, Ns, SimClock, MICROSECOND, MILLISECOND, MINUTE, SECOND};
+pub use clock::{Ns, SimClock, MICROSECOND, MILLISECOND, MINUTE, SECOND};
 pub use config::{CacheConfig, DeviceConfig, DeviceProfile, GcConfig, Geometry, MediaKind};
 pub use device::SharedSsd;
 pub use device::{Ssd, WriteCompletion};
